@@ -79,15 +79,12 @@ void run_fig10a() {
               "cross-ISA baseline is orders of magnitude above EdgStr everywhere.\n");
 }
 
-// Batched wire format vs the per-op JSON encoding, same workload, same
-// sync schedule. `sync.bytes.per_op_equiv` is accounted at send time on
-// identical messages, so the comparison costs no second run; convergence
-// round counts are independent of the encoding (same ops, same schedule).
+// Op traffic in the batched wire format, same workload and schedule as
+// Fig. 10(a): convergence rounds, op-bearing bytes, and messages per app.
 void run_wire_format() {
-  std::printf("\n=== Sync wire format: batched runs vs per-op JSON ===\n\n");
-  std::printf("%-15s %12s %14s %14s %10s %7s\n", "app", "rounds", "batched B",
-              "per-op B", "saved", "msgs");
-  print_rule('-', 78);
+  std::printf("\n=== Sync wire format: batched op traffic ===\n\n");
+  std::printf("%-15s %12s %14s %7s\n", "app", "rounds", "op bytes", "msgs");
+  print_rule('-', 52);
 
   for (const apps::SubjectApp* app : apps::all_subject_apps()) {
     const core::TransformResult& result = transformed(*app);
@@ -103,17 +100,10 @@ void run_wire_format() {
       if (used > 0) rounds += used;
     }
     util::MetricsRegistry& m = three.sync().metrics();
-    // Op traffic only: digests ride a different kind and have no per-op
-    // equivalent, so including them would understate the format's savings.
-    const double batched = m.value("sync.bytes.wire.ops");
-    const double per_op = m.value("sync.bytes.per_op_equiv");
-    const double saved = per_op > 0 ? 100.0 * (1.0 - batched / per_op) : 0.0;
-    g_reg.set("fig10a.wire_saved_pct." + app->name, saved);
-    std::printf("%-15s %12d %14.0f %14.0f %9.1f%% %7.0f\n", app->name.c_str(), rounds,
-                batched, per_op, saved, m.value("sync.messages"));
+    // Op traffic only: digests are reported under their own kind.
+    std::printf("%-15s %12d %14.0f %7.0f\n", app->name.c_str(), rounds,
+                m.value("sync.bytes.wire.ops"), m.value("sync.messages"));
   }
-  std::printf("\nShape check: run-length headers and delta-encoded stamps cut every\n"
-              "payload-bearing message; the target is >=20%% fewer bytes overall.\n");
 
   // Per-doc / per-endpoint breakdown for one representative subject.
   const apps::SubjectApp& app = apps::sensor_hub();
@@ -131,17 +121,14 @@ void run_wire_format() {
   }
 }
 
-// Topology A/B: digest anti-entropy vs the PR 1 push protocol on the two
-// redundant topologies. Push retransmits on meshes and hierarchies — every
-// peer that has not *acked* an op pushes it, even when a third replica
-// already delivered it — while the digest handshake ships exactly the
-// missing ranges. Same workload, same schedule, total wire bytes compared
-// (digest overhead included, so the handshake pays for itself honestly).
+// Digest anti-entropy on the two redundant topologies: every endpoint
+// ships exactly the ranges its peer's digest proves missing, so an op a
+// third replica already delivered is never re-sent. Total wire bytes,
+// digest overhead included.
 void run_topology_sync() {
-  std::printf("\n=== Sync topology A/B: push vs digest, total wire bytes ===\n\n");
-  std::printf("%-15s %-10s %14s %14s %10s\n", "app", "topology", "push B", "digest B",
-              "reduced");
-  print_rule('-', 70);
+  std::printf("\n=== Sync topology: digest anti-entropy, total wire bytes ===\n\n");
+  std::printf("%-15s %-10s %14s\n", "app", "topology", "digest B");
+  print_rule('-', 41);
 
   struct Scenario {
     const char* name;
@@ -153,65 +140,46 @@ void run_topology_sync() {
       {"hierarchy", core::SyncTopology::kHierarchy, 4},
   };
 
-  std::map<std::string, double> total_push, total_digest;
+  std::map<std::string, double> total_digest;
   for (const apps::SubjectApp* app : apps::all_subject_apps()) {
     const core::TransformResult& result = transformed(*app);
     if (!result.ok) continue;
 
     for (const Scenario& scenario : scenarios) {
-      auto wire_bytes = [&](bool digest) {
-        core::DeploymentConfig config;
-        config.start_sync = false;
-        config.topology = scenario.topology;
-        config.edge_devices.assign(scenario.edges, cluster::DeviceProfile::rpi4());
-        config.digest_sync = digest;
-        core::ThreeTierDeployment three(result, config);
-        std::size_t i = 0;
-        for (int pass = 0; pass < 3; ++pass) {
-          // Writes land round-robin across edges; one sync round runs per
-          // sweep, so every round opens with fresh deltas at several
-          // endpoints — the state where push's one-round-stale acks
-          // re-ship ops a third replica already delivered, and the digest
-          // handshake does not. Three passes keep this steady-state
-          // phase, not the final convergence tail, the dominant cost.
-          for (const http::HttpRequest& req : app->workload) {
-            three.request_sync(req, i++ % scenario.edges);
-            if (i % scenario.edges == 0) {
-              three.sync().tick();
-              three.network().clock().run();
-            }
+      core::DeploymentConfig config;
+      config.start_sync = false;
+      config.topology = scenario.topology;
+      config.edge_devices.assign(scenario.edges, cluster::DeviceProfile::rpi4());
+      core::ThreeTierDeployment three(result, config);
+      std::size_t i = 0;
+      for (int pass = 0; pass < 3; ++pass) {
+        // Writes land round-robin across edges; one sync round runs per
+        // sweep, so every round opens with fresh deltas at several
+        // endpoints and ops reach most replicas by more than one path.
+        // Three passes keep this steady-state phase, not the final
+        // convergence tail, the dominant cost.
+        for (const http::HttpRequest& req : app->workload) {
+          three.request_sync(req, i++ % scenario.edges);
+          if (i % scenario.edges == 0) {
+            three.sync().tick();
+            three.network().clock().run();
           }
         }
-        three.sync().sync_until_converged();
-        return double(three.sync().total_sync_bytes());
-      };
-
-      const double push = wire_bytes(false);
-      const double dig = wire_bytes(true);
-      const double reduced = push > 0 ? 100.0 * (1.0 - dig / push) : 0.0;
-      const std::string key = std::string(scenario.name) + "." + app->name;
-      g_reg.set("fig10a.topo_sync_bytes.push." + key, push);
-      g_reg.set("fig10a.topo_sync_bytes.digest." + key, dig);
-      g_reg.set("fig10a.topo_reduction_pct." + key, reduced);
-      total_push[scenario.name] += push;
+      }
+      three.sync().sync_until_converged();
+      const double dig = double(three.sync().total_sync_bytes());
+      g_reg.set("fig10a.topo_sync_bytes.digest." + std::string(scenario.name) + "." + app->name,
+                dig);
       total_digest[scenario.name] += dig;
-      std::printf("%-15s %-10s %14.0f %14.0f %9.1f%%\n", app->name.c_str(), scenario.name,
-                  push, dig, reduced);
+      std::printf("%-15s %-10s %14.0f\n", app->name.c_str(), scenario.name, dig);
     }
   }
-  print_rule('-', 70);
+  print_rule('-', 41);
   for (const Scenario& scenario : scenarios) {
-    const double push = total_push[scenario.name];
     const double dig = total_digest[scenario.name];
-    const double reduced = push > 0 ? 100.0 * (1.0 - dig / push) : 0.0;
-    g_reg.set(std::string("fig10a.topo_sync_bytes.push.") + scenario.name, push);
     g_reg.set(std::string("fig10a.topo_sync_bytes.digest.") + scenario.name, dig);
-    g_reg.set(std::string("fig10a.topo_reduction_pct.") + scenario.name, reduced);
-    std::printf("%-15s %-10s %14.0f %14.0f %9.1f%%\n", "TOTAL", scenario.name, push, dig,
-                reduced);
+    std::printf("%-15s %-10s %14.0f\n", "TOTAL", scenario.name, dig);
   }
-  std::printf("\nShape check: the digest protocol must cut mesh and hierarchy sync\n"
-              "bytes by >=30%% — redundant retransmission eliminated, not shifted.\n");
 }
 
 void BM_CollectChanges(benchmark::State& state) {

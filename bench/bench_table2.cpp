@@ -88,15 +88,6 @@ void run_table2() {
                   route.to_string().c_str(), wan_o, sync_min, sync_max,
                   latency_cloud * 1000, latency_edge * 1000);
     }
-    // W_AN_e is measured on the batched wire format; show what the same
-    // messages would have cost as per-op JSON (last measured invocation).
-    const util::MetricsRegistry& m = three.sync().metrics();
-    const double wire = m.value("sync.bytes.wire");
-    const double per_op = m.value("sync.bytes.per_op_equiv");
-    if (per_op > 0) {
-      std::printf("  %-14s %-22s wire %.0f B vs per-op %.0f B (%.1f%% saved)\n", "",
-                  "(encoding)", wire, per_op, 100.0 * (1.0 - wire / per_op));
-    }
   }
   std::printf(
       "\nNote: under this favorable (100 Mbit/s) WAN, L_o < L_e for the\n"

@@ -1,8 +1,7 @@
 // sim_explore — seed-driven simulation explorer for the replication plane.
 //
 //   sim_explore --seed N [--rounds R] [--lanes L] [--workload W] [--trace]
-//               [--optimistic-acks] [--no-digest] [--no-variant-check]
-//               [--variant-fault] [--handoff-fault] [--slo]
+//               [--no-variant-check] [--variant-fault] [--handoff-fault] [--slo]
 //               [--durable] [--power-loss] [--durability-fault]
 //               [--trace-out FILE] [--metrics-out FILE]
 //               [--timeseries-out FILE] [--flight-out FILE]
@@ -16,8 +15,7 @@
 //       flight-recorder dump (recent per-host events) whether or not the
 //       run failed.
 //   sim_explore --sweep N [--start S] [--rounds R] [--lanes L] [--workload W]
-//               [--optimistic-acks] [--no-digest] [--no-variant-check]
-//               [--handoff-fault] [--slo]
+//               [--no-variant-check] [--handoff-fault] [--slo]
 //       Runs N consecutive seeds starting at S (default 1) and prints a
 //       report per failure. Exits nonzero when any seed fails, with the
 //       failing seeds listed last so CI logs surface them. The sweep
@@ -68,20 +66,21 @@ namespace {
 
 int usage() {
   std::cerr << "usage: sim_explore --seed N [--rounds R] [--lanes L] [--workload W] [--trace]\n"
-            << "                   [--optimistic-acks] [--no-digest] [--no-variant-check]\n"
-            << "                   [--variant-fault] [--handoff-fault] [--slo]\n"
+            << "                   [--no-variant-check] [--variant-fault] [--handoff-fault] [--slo]\n"
             << "                   [--durable] [--power-loss] [--durability-fault]\n"
             << "                   [--trace-out FILE] [--metrics-out FILE]\n"
             << "                   [--timeseries-out FILE] [--flight-out FILE]\n"
             << "       sim_explore --sweep N [--start S] [--rounds R] [--lanes L]\n"
-            << "                   [--workload W] [--optimistic-acks] [--no-digest]\n"
-            << "                   [--no-variant-check] [--handoff-fault] [--slo]\n"
+            << "                   [--workload W] [--no-variant-check] [--handoff-fault] [--slo]\n"
             << "                   [--durable] [--power-loss] [--durability-fault]\n"
             << "       W: uniform | zipf | flash | churn\n";
   return 2;
 }
 
 bool parse_u64(const std::string& text, std::uint64_t* out) {
+  // std::stoull skips leading whitespace and wraps a leading '-' to a huge
+  // value ("-1" -> 2^64-1), so only a bare digit string is accepted.
+  if (text.empty() || text[0] < '0' || text[0] > '9') return false;
   try {
     size_t pos = 0;
     const unsigned long long v = std::stoull(text, &pos);
@@ -133,10 +132,6 @@ int main(int argc, char** argv) {
       timeseries_out = args[++i];
     } else if (arg == "--flight-out" && has_value) {
       flight_out = args[++i];
-    } else if (arg == "--optimistic-acks") {
-      config.optimistic_acks = true;
-    } else if (arg == "--no-digest") {
-      config.digest_sync = false;
     } else if (arg == "--workload" && has_value) {
       if (!edgstr::workload::parse_workload_shape(args[++i], &config.workload)) return usage();
     } else if (arg == "--no-variant-check") {
@@ -161,6 +156,9 @@ int main(int argc, char** argv) {
     }
   }
   if (!have_target) return usage();
+  // A sweep window past 2^64-1 would wrap `start + count` and run no seeds
+  // while still reporting the whole window as swept.
+  if (sweep && start + count < start) return usage();
 
   if (!sweep) {
     config.seed = seed;

@@ -288,32 +288,4 @@ SyncMessage decode_message(const json::Value& wire) {
   }
 }
 
-json::Value encode_message_per_op(const SyncMessage& message) {
-  json::Object out;
-  out.set("from", json::Value(message.from));
-  json::Object docs;
-  // The seed carried every doc unit in every message, empty or not.
-  for (const auto& [doc, version] : message.versions) {
-    (void)version;
-    json::Array arr;
-    auto it = message.ops.find(doc);
-    if (it != message.ops.end()) {
-      arr.reserve(it->second.size());
-      for (const Op& op : it->second) arr.push_back(op.to_json());
-    }
-    docs.set(doc, json::Value(std::move(arr)));
-  }
-  for (const auto& [doc, doc_ops] : message.ops) {
-    if (!message.versions.count(doc)) {
-      json::Array arr;
-      arr.reserve(doc_ops.size());
-      for (const Op& op : doc_ops) arr.push_back(op.to_json());
-      docs.set(doc, json::Value(std::move(arr)));
-    }
-  }
-  out.set("docs", json::Value(std::move(docs)));
-  out.set("version", doc_versions_to_json(message.versions));
-  return json::Value(std::move(out));
-}
-
 }  // namespace edgstr::crdt

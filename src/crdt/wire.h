@@ -21,9 +21,9 @@
 // its origin (OpLog::make_local), so it is not carried at all; the encoder
 // verifies this and falls back to an explicit "r" array if it ever breaks.
 //
-// The seed's per-op encoding is kept as encode_message_per_op() purely for
-// byte accounting: bench_fig10a_sync and Table II's W_AN_e column report
-// the batched format's savings against it on identical messages.
+// This is the only sync encoding. Against the seed's per-op format on
+// identical messages it saved 19.2-27.4 % of op bytes per app (frozen in
+// EXPERIMENTS.md, "Retired A/B results").
 //
 // Besides op-bearing messages the wire carries two more kinds, selected by
 // a "k" field (absent = ops):
@@ -107,11 +107,8 @@ struct SyncMessage {
   std::size_t op_count() const;
 };
 
-/// Batched run-length encoding (the wire format actually shipped).
+/// Batched run-length encoding.
 json::Value encode_message(const SyncMessage& message);
 SyncMessage decode_message(const json::Value& wire);
-
-/// Reference per-op encoding (the seed's format), for byte accounting only.
-json::Value encode_message_per_op(const SyncMessage& message);
 
 }  // namespace edgstr::crdt

@@ -110,7 +110,6 @@ ThreeTierDeployment::ThreeTierDeployment(const TransformResult& transform,
   init_snapshot_ = transform.init_snapshot;
   sync_ = std::make_unique<runtime::SyncEngine>(network_, kCloudHost);
   sync_->set_cloud(cloud_state_);
-  sync_->graph().set_digest_sync(config.digest_sync);
   sync_->graph().set_snapshot_bootstrap(config.bootstrap_snapshot_ops);
   sync_->graph().set_telemetry(&telemetry_);
   if (config.lanes > 1) {

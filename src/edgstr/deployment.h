@@ -46,9 +46,6 @@ struct DeploymentConfig {
   std::uint64_t seed = 42;
   SyncTopology topology = SyncTopology::kStar;
   std::size_t hierarchy_fanout = 2;  ///< edges per regional (kHierarchy)
-  /// Two-phase digest anti-entropy (default); false = the PR 1 push
-  /// protocol, kept as an A/B baseline for the sync-byte benches.
-  bool digest_sync = true;
   /// Worker lanes for the sharded runtime. 1 (default) is the plain serial
   /// path — no scheduler is even constructed, so single-lane deployments
   /// are byte-identical to pre-sharding builds. With more lanes the

@@ -136,46 +136,6 @@ void ReplicationGraph::note_apply(ReplicaState& receiver, const crdt::SyncMessag
   tracer.end_span(round_span);
 }
 
-void ReplicationGraph::exchange(ReplicaState& sender, ReplicaState& receiver, SyncLink& link,
-                                const obs::TraceContext& round_ctx, obs::SpanId round_span) {
-  const std::string key = receiver.id() + "<-" + sender.id();
-  const crdt::DocVersions& known = peer_known_[key];
-  if (!sender.can_serve(known)) {
-    // The ack floor fell behind the sender's compaction horizon: acks ride
-    // delivered messages, and enough loss starves them. That does NOT mean
-    // the receiver is behind — only that the floor is stale (forcing a
-    // rebuild here can cascade until every endpoint is "recovering" and no
-    // rejoin source remains). Fall back to one digest exchange for this
-    // direction: the receiver's true advertisement either heals the floor
-    // with an exact delta, or proves the receiver really is below the
-    // horizon — and serve_digest routes that through the rejoin path. The
-    // digest protocol itself cannot get here at all.
-    metrics_.add("sync.push.digest_fallbacks");
-    start_digest_exchange(receiver, sender, link, round_ctx, round_span);
-    return;
-  }
-  const crdt::SyncMessage message = sender.collect_changes(known);
-  if (optimistic_acks_) peer_known_[key] = message.versions;
-  pending_round_ops_ += message.op_count();
-  flight(sender.id(), "send",
-         "push->" + receiver.id() + " ops=" + std::to_string(message.op_count()));
-  const std::uint64_t sent_inc = incarnation_[receiver.id()];
-  pending_round_bytes_ += link.send(
-      sender.id(), message,
-      [this, key, sent_inc, round_ctx, round_span, rid = receiver.id(),
-       &receiver](const crdt::SyncMessage& delivered) {
-        // Deliveries addressed to a previous life of the receiver are
-        // dead letters: the reborn replica's version vector no longer
-        // matches what this delta assumed.
-        if (down_.count(rid) || recovering_.count(rid)) return;
-        if (incarnation_[rid] != sent_inc) return;
-        receiver.apply_message(delivered);
-        if (!optimistic_acks_) peer_known_[key] = delivered.versions;
-        note_apply(receiver, delivered, round_ctx, round_span, "sync.apply");
-      },
-      round_ctx);
-}
-
 void ReplicationGraph::start_digest_exchange(ReplicaState& advertiser, ReplicaState& responder,
                                              SyncLink& link, const obs::TraceContext& round_ctx,
                                              obs::SpanId round_span, bool rejoin) {
@@ -213,33 +173,18 @@ void ReplicationGraph::serve_digest(ReplicaState& advertiser, ReplicaState& resp
   if (down_.count(aid) || incarnation_[aid] != advertiser_inc) return;
   if (digest.rejoin != (recovering_.count(aid) > 0)) return;
 
-  // What the push baseline would resend from the stale ack floor, minus
-  // what the digest proves is actually missing — the duplicate traffic
-  // this protocol exists to eliminate.
-  const crdt::DocVersions responder_versions = responder.versions();
-  const std::uint64_t would_push = ops_missing(responder_versions, peer_known_[aid + "<-" + rid]);
-  const std::uint64_t missing = ops_missing(responder_versions, digest.versions);
-  if (!digest.rejoin && would_push > missing) {
-    metrics_.add("sync.redundant_ops_avoided", double(would_push - missing));
-  }
-
   // The digest is the advertiser's authoritative self-report: fold it into
-  // the ack cache. Acks now self-heal — a lost delta or a cross-path
-  // delivery is corrected by the very next digest — so the cache only
-  // gates compaction, never what gets sent. Under kPush that same entry
-  // IS a send floor (for pushes advertiser -> responder), and it must
-  // lower-bound the RESPONDER's holdings — the advertiser's self-report
-  // would poison it — so the fold is digest-protocol only; push-mode
-  // compaction keeps advancing through delivered acks alone.
-  if (protocol_ == SyncProtocol::kDigest) {
-    merge_max(peer_known_[rid + "<-" + aid], digest.versions);
-  }
+  // the ack cache. Acks self-heal — a lost delta or a cross-path delivery
+  // is corrected by the very next digest — so the cache only gates
+  // compaction, never what gets sent.
+  merge_max(peer_known_[rid + "<-" + aid], digest.versions);
 
   if (digest.rejoin && snapshot_min_gap_ > 0 &&
-      (!responder.can_serve(digest.versions) || missing >= snapshot_min_gap_)) {
+      (!responder.can_serve(digest.versions) ||
+       ops_missing(responder.versions(), digest.versions) >= snapshot_min_gap_)) {
     // Snapshot negotiation won: either the responder compacted past the
     // joiner (snapshot is the only option) or the advertised gap is wide
-    // enough that shipping state + tail beats replaying `missing` ops.
+    // enough that shipping state + tail beats replaying the missing ops.
     const crdt::SyncMessage snap = responder.collect_snapshot_bootstrap();
     const std::uint64_t bytes =
         link.send(rid, snap,
@@ -266,7 +211,7 @@ void ReplicationGraph::serve_digest(ReplicaState& advertiser, ReplicaState& resp
       boot.kind = crdt::SyncKind::kBootstrap;
       boot.from = rid;
       boot.rejoin = true;
-      boot.versions = responder_versions;
+      boot.versions = responder.versions();
       boot.bootstrap = responder.bootstrap_state();
       const std::uint64_t bytes =
           link.send(rid, boot,
@@ -440,21 +385,16 @@ void ReplicationGraph::tick_round() {
     if (recovering_.count(link.a) || recovering_.count(link.b)) continue;
     ReplicaState& a = endpoint(link.a);
     ReplicaState& b = endpoint(link.b);
-    if (protocol_ == SyncProtocol::kDigest) {
-      // Pull anti-entropy at half the control cost: one advertiser per
-      // link per round, alternating direction every round. Links are
-      // created parent-first (cloud<->regional, regional<->edge), so even
-      // rounds pull data up the topology and odd rounds pull it down — a
-      // write pipelines leaf -> root -> far leaf in consecutive rounds.
-      // Every direction is served every second round, so convergence is
-      // preserved — the steady-state digest traffic is simply halved.
-      const bool a_advertises = (round_number_ % 2) == 0;
-      start_digest_exchange(a_advertises ? a : b, a_advertises ? b : a, *link.link, round_ctx,
-                            round_span);
-    } else {
-      exchange(a, b, *link.link, round_ctx, round_span);
-      exchange(b, a, *link.link, round_ctx, round_span);
-    }
+    // Pull anti-entropy at half the control cost: one advertiser per link
+    // per round, alternating direction every round. Links are created
+    // parent-first (cloud<->regional, regional<->edge), so even rounds pull
+    // data up the topology and odd rounds pull it down — a write pipelines
+    // leaf -> root -> far leaf in consecutive rounds. Every direction is
+    // served every second round, so convergence is preserved — the
+    // steady-state digest traffic is simply halved.
+    const bool a_advertises = (round_number_ % 2) == 0;
+    start_digest_exchange(a_advertises ? a : b, a_advertises ? b : a, *link.link, round_ctx,
+                          round_span);
   }
   ++round_number_;
   metrics_.add("sync.rounds");
@@ -570,7 +510,7 @@ void ReplicationGraph::attempt_rejoin(ReplicaState& joiner, const obs::TraceCont
   }
   if (!source) return;  // isolated for now; tick_round() retries
 
-  // Rejoin is digest-driven under both protocols: the joiner advertises
+  // Rejoin is digest-driven: the joiner advertises
   // its (reset) state with a rejoin-flagged digest, and the source answers
   // with exactly the missing ranges — or a full bootstrap when it has
   // compacted past the joiner (serve_digest decides, with the same budget
@@ -817,9 +757,7 @@ void ReplicationGraph::reset_traffic_stats() {
   metrics_.reset("sync.messages");
   metrics_.reset("sync.ops_shipped.");
   metrics_.reset("sync.digest.");
-  metrics_.reset("sync.redundant_ops_avoided");
   metrics_.reset("sync.batch.");
-  metrics_.reset("sync.push.");
 }
 
 void ReplicationGraph::update_convergence_lag() {

@@ -11,24 +11,16 @@
 // and multi-hop topologies relay through each endpoint's own op log
 // exactly like the seed's cloud did.
 //
-// Two sync protocols share the graph:
-//
-//   kDigest (default) — two-phase anti-entropy. Each direction of a link
-//   opens with a compact version-vector digest of everything the
-//   advertiser holds; the responder answers with exactly the op ranges the
-//   digest proves missing (or nothing — a digest "hit"). Because the floor
-//   for every delta is the peer's own fresh self-report, redundant
-//   retransmission on meshes and hierarchies disappears: an op that
-//   already reached a peer via another path is never shipped again, and a
-//   lost delta costs one digest round, not a full-backlog resend.
-//   peer_known_ degrades into a self-healing ack cache that only gates log
-//   compaction. Replies are cut at the link's adaptive byte budget
-//   (BatchBudget) and resume over later rounds.
-//
-//   kPush — the PR 1 protocol, kept as an A/B baseline: each side guesses
-//   the peer's holdings from the last delivered ack and pushes that delta.
-//   Staleness in the guess (a one-round cross-push window, or any lost
-//   message) is paid for in duplicate ops.
+// Sync is two-phase digest anti-entropy. Each direction of a link opens
+// with a compact version-vector digest of everything the advertiser
+// holds; the responder answers with exactly the op ranges the digest
+// proves missing (or nothing — a digest "hit"). Because the floor for
+// every delta is the peer's own fresh self-report, an op that already
+// reached a peer via another path is never shipped again, and a lost
+// delta costs one digest round, not a full-backlog resend. peer_known_ is
+// a self-healing ack cache that only gates log compaction. Replies are
+// cut at the link's adaptive byte budget (BatchBudget) and resume over
+// later rounds.
 #pragma once
 
 #include <functional>
@@ -46,22 +38,9 @@ namespace edgstr::runtime {
 
 class LaneScheduler;
 
-/// How a link direction decides what to ship per round: kDigest asks
-/// first (two-phase, exact deltas), kPush guesses from the last ack.
-enum class SyncProtocol { kPush, kDigest };
-
 class ReplicationGraph {
  public:
   explicit ReplicationGraph(netsim::Network& network) : network_(network) {}
-
-  /// Selects the sync protocol (default kDigest). Flip to kPush for the
-  /// guess-and-push baseline the benches compare against.
-  void set_sync_protocol(SyncProtocol protocol) { protocol_ = protocol; }
-  SyncProtocol sync_protocol() const { return protocol_; }
-  /// Convenience for config plumbing: digest_sync(false) == kPush.
-  void set_digest_sync(bool enabled) {
-    protocol_ = enabled ? SyncProtocol::kDigest : SyncProtocol::kPush;
-  }
 
   /// Registers an endpoint; its id() must be unique and is the host name
   /// used on the simulated network.
@@ -134,14 +113,6 @@ class ReplicationGraph {
   std::uint64_t snapshot_bootstrap() const { return snapshot_min_gap_; }
 
   /// Deliberate-regression knob for the simulation harness: when enabled,
-  /// peer acks are recorded at *send* time instead of delivery time, so a
-  /// lost message is never retransmitted. Convergence invariants must
-  /// catch this under lossy networks. Push-protocol only: under digest
-  /// sync the resend floor is the peer's own advertisement, so there is no
-  /// send-time ack to corrupt.
-  void set_optimistic_acks(bool enabled) { optimistic_acks_ = enabled; }
-
-  /// Deliberate-regression knob for the simulation harness: when enabled,
   /// every cross-host session handoff fails immediately (as if the flush
   /// path were broken). Pure session-guarantee lapse — replication itself
   /// stays healthy, so convergence invariants pass and only the SLO
@@ -186,7 +157,7 @@ class ReplicationGraph {
   void reset_traffic_stats();
 
   /// Sync instrumentation: rounds, per-endpoint/per-doc ops and bytes,
-  /// wire vs per-op-equivalent bytes, convergence lag.
+  /// wire bytes by message kind, convergence lag.
   util::MetricsRegistry& metrics() { return metrics_; }
   const util::MetricsRegistry& metrics() const { return metrics_; }
 
@@ -227,15 +198,13 @@ class ReplicationGraph {
   };
 
   netsim::Network& network_;
-  SyncProtocol protocol_ = SyncProtocol::kDigest;
   std::vector<std::shared_ptr<ReplicaState>> endpoints_;
   std::map<std::string, std::size_t> index_;  ///< id -> endpoints_ index
   std::vector<GraphLink> links_;
   /// What each directed peer provably holds: key "holder<-peer" is the
   /// last version set `peer` advertised (ack or digest) that reached
-  /// `holder`. Under kDigest this is purely a compaction gate, refreshed
-  /// by every digest — never a correctness input; under kPush it doubles
-  /// as the (guessable-stale) resend floor.
+  /// `holder`. Purely a compaction gate, refreshed by every digest —
+  /// never a correctness input.
   std::map<std::string, crdt::DocVersions> peer_known_;
   util::MetricsRegistry metrics_;
   std::map<std::string, double> lag_streak_;  ///< endpoint -> rounds diverged
@@ -243,7 +212,6 @@ class ReplicationGraph {
   std::set<std::string> down_;        ///< crashed endpoints
   std::set<std::string> recovering_;  ///< restarted, rejoin not yet complete
   std::map<std::string, std::uint64_t> incarnation_;
-  bool optimistic_acks_ = false;
   bool handoff_fault_ = false;
   std::uint64_t snapshot_min_gap_ = 0;  ///< 0 = snapshot bootstrap off
   std::size_t handoff_fail_run_ = 0;  ///< consecutive failed flushes (SLO signal)
@@ -268,15 +236,11 @@ class ReplicationGraph {
   bool round_stats_pending_ = false;
   std::uint64_t round_number_ = 0;  ///< tick counter; picks digest parity
 
-  /// kPush: guess the receiver's holdings from the last delivered ack and
-  /// push that delta.
-  void exchange(ReplicaState& sender, ReplicaState& receiver, SyncLink& link,
-                const obs::TraceContext& round_ctx, obs::SpanId round_span);
-  /// kDigest phase 1: advertise `advertiser`'s versions to `responder`.
+  /// Digest phase 1: advertise `advertiser`'s versions to `responder`.
   void start_digest_exchange(ReplicaState& advertiser, ReplicaState& responder, SyncLink& link,
                              const obs::TraceContext& round_ctx, obs::SpanId round_span,
                              bool rejoin = false);
-  /// kDigest phase 2 (runs at digest delivery): answer with exactly the
+  /// Digest phase 2 (runs at digest delivery): answer with exactly the
   /// missing ranges, cut at the link budget; or bootstrap a rejoiner the
   /// responder has compacted past.
   void serve_digest(ReplicaState& advertiser, ReplicaState& responder, SyncLink& link,
@@ -288,7 +252,7 @@ class ReplicationGraph {
                      std::uint64_t advertiser_inc, const std::string& responder_id,
                      const obs::TraceContext& round_ctx, obs::SpanId round_span);
   /// Telemetry for an op message just applied at `receiver`: the apply
-  /// span plus per-op provenance links; shared by both protocols.
+  /// span plus per-op provenance links.
   void note_apply(ReplicaState& receiver, const crdt::SyncMessage& delivered,
                   const obs::TraceContext& round_ctx, obs::SpanId round_span,
                   const char* span_name);

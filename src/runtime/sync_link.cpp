@@ -48,18 +48,13 @@ std::uint64_t SyncLink::send(const std::string& from, const crdt::SyncMessage& m
   if (metrics_) {
     metrics_->add("sync.messages");
     metrics_->add("sync.bytes.wire", double(bytes));
-    // Per-kind byte split: the wire-format savings report compares op
-    // traffic only, and digest/bootstrap overhead is reported on its own.
+    // Per-kind byte split: op traffic is reported apart from the
+    // digest/bootstrap overhead.
     const char* kind = carries_ops                                   ? "ops"
                        : message.kind == crdt::SyncKind::kDigest ? "digest"
                                                                      : "bootstrap";
     metrics_->add(std::string("sync.bytes.wire.") + kind, double(bytes));
     if (carries_ops) {
-      // What the same message would have cost in the seed's per-op JSON
-      // encoding — the denominator of the wire-format savings report.
-      metrics_->add("sync.bytes.per_op_equiv",
-                    double(crdt::encode_message_per_op(message).wire_size() +
-                           kFramingOverheadBytes));
       for (const auto& [doc, ops] : message.ops) {
         metrics_->add("sync.ops_shipped." + message.from + "." + doc, double(ops.size()));
         double op_bytes = 0;

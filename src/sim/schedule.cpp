@@ -123,7 +123,6 @@ ScheduleResult run_schedule(const ScheduleConfig& config) {
   core::DeploymentConfig dep;
   dep.start_sync = false;  // the schedule drives sync rounds explicitly
   dep.seed = rng.next_u64();
-  dep.digest_sync = config.digest_sync;
   dep.lanes = config.lanes;
   dep.variant_check = config.variant_check;
   // The watchdog consumes the windowed series, so it forces capture on;
@@ -142,7 +141,7 @@ ScheduleResult run_schedule(const ScheduleConfig& config) {
     // every reading skewed, so any summary/alert read over non-empty data
     // must diverge from the primary in both response and RW-log. A
     // correct harness turns this into variant-agreement violations on
-    // (virtually) every seed — the variant twin of optimistic_acks.
+    // (virtually) every seed.
     dep.variant_test_fault = [](runtime::ServiceRuntime& rt) {
       rt.database().execute("UPDATE readings SET value = 999999");
     };
@@ -174,7 +173,6 @@ ScheduleResult run_schedule(const ScheduleConfig& config) {
   core::ThreeTierDeployment three(subject_transform(), dep);
   netsim::Network& net = three.network();
   runtime::ReplicationGraph& graph = three.replication();
-  if (config.optimistic_acks) graph.set_optimistic_acks(true);
   if (config.handoff_fault) graph.set_handoff_fault(true);
 
   EventTrace& trace = result.trace;
@@ -195,7 +193,7 @@ ScheduleResult run_schedule(const ScheduleConfig& config) {
   // ---- per-link loss + fault models ---------------------------------------
   const std::vector<std::pair<std::string, std::string>> sync_links = graph.link_ids();
   std::vector<std::pair<std::string, std::string>> lossy;
-  if (config.enable_link_faults || config.optimistic_acks) {
+  if (config.enable_link_faults) {
     for (const auto& [a, b] : sync_links) {
       if (rng.chance(0.6)) {
         netsim::LinkConfig cfg = (a == core::kCloudHost || b == core::kCloudHost)
@@ -206,7 +204,7 @@ ScheduleResult run_schedule(const ScheduleConfig& config) {
         lossy.emplace_back(a, b);
         trace.record(now(), "loss", a + "<->" + b + " p=" + fmt(cfg.loss_probability));
       }
-      if (config.enable_link_faults && rng.chance(0.5)) {
+      if (rng.chance(0.5)) {
         netsim::FaultConfig faults;
         if (rng.chance(0.5)) faults.duplicate_probability = rng.uniform(0.05, 0.3);
         if (rng.chance(0.5)) faults.reorder_probability = rng.uniform(0.05, 0.3);
@@ -222,14 +220,6 @@ ScheduleResult run_schedule(const ScheduleConfig& config) {
                            " spike=" + fmt(faults.delay_spike_probability));
         }
       }
-    }
-    if (config.optimistic_acks && lossy.empty() && !sync_links.empty()) {
-      // The regression only bites when something is actually lost.
-      netsim::LinkConfig cfg = dep.wan;
-      cfg.loss_probability = 0.3;
-      net.connect(sync_links[0].first, sync_links[0].second, cfg);
-      lossy.push_back(sync_links[0]);
-      trace.record(now(), "loss", sync_links[0].first + "<->" + sync_links[0].second + " p=0.300");
     }
   }
 

@@ -36,17 +36,6 @@ struct ScheduleConfig {
   bool enable_compaction = true;   ///< periodic log compaction (exercises
                                    ///< the bootstrap-rejoin path)
 
-  /// Deliberate regression knob: record peer acks at send time, so a lost
-  /// sync message is never retransmitted. A correct harness MUST flag
-  /// non-convergence for (most) seeds with this enabled. Push-protocol
-  /// only — set digest_sync=false with it, or the self-healing digests
-  /// mask the planted bug.
-  bool optimistic_acks = false;
-
-  /// Two-phase digest anti-entropy (default); false runs the push
-  /// baseline. The nightly sweep runs both and diffs convergence rounds.
-  bool digest_sync = true;
-
   /// Export the run's telemetry: fills ScheduleResult::chrome_trace and
   /// metrics_snapshot with serialized JSON. Spans are recorded either way
   /// (the deployment always carries a telemetry plane); this only controls
@@ -84,10 +73,10 @@ struct ScheduleConfig {
   /// continuously-running guard; the shadows replay off-network, so the
   /// schedule bytes are unchanged. Turn off to time pure replication runs.
   bool variant_check = true;
-  /// Deliberate-regression knob, mirroring optimistic_acks: plants a
-  /// semantic fault on the legacy shadow (an UPDATE skew on replay), so a
-  /// correct harness MUST report variant-agreement violations once data
-  /// exists. Requires variant_check.
+  /// Deliberate-regression knob: plants a semantic fault on the legacy
+  /// shadow (an UPDATE skew on replay), so a correct harness MUST report
+  /// variant-agreement violations once data exists. Requires
+  /// variant_check.
   bool variant_fault = false;
 
   // ---- windowed observability ---------------------------------------------
@@ -116,11 +105,11 @@ struct ScheduleConfig {
   /// (planted-fault mode). Both require slo_watchdog.
   bool forbid_alerts = false;
   std::vector<std::string> require_alerts;
-  /// Deliberate-regression knob, the watchdog twin of optimistic_acks /
-  /// variant_fault: every cross-host session handoff fails immediately.
-  /// Invariants stay green (a failed handoff lawfully lapses the
-  /// migration-ryw obligation) — only the handoff-failure-rate SLO rule
-  /// catches it. Meaningful with the churn workload.
+  /// Deliberate-regression knob, the watchdog twin of variant_fault:
+  /// every cross-host session handoff fails immediately. Invariants stay
+  /// green (a failed handoff lawfully lapses the migration-ryw
+  /// obligation) — only the handoff-failure-rate SLO rule catches it.
+  /// Meaningful with the churn workload.
   bool handoff_fault = false;
 
   // ---- durability -----------------------------------------------------------
@@ -141,7 +130,7 @@ struct ScheduleConfig {
   /// partial records for recovery to truncate) instead of a clean cut at
   /// the fsync horizon. Requires `durable`.
   bool power_loss = false;
-  /// Deliberate-regression knob, the durability twin of optimistic_acks:
+  /// Deliberate-regression knob, the durability twin of variant_fault:
   /// every durable edge's disk lies — fsync claims durability without
   /// providing it — so acked "durable" writes die with the power. A
   /// correct harness MUST flag `durable-op-loss` on (most) seeds that

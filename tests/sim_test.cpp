@@ -9,6 +9,9 @@
 #include <utility>
 #include <vector>
 
+#include "runtime/replica_state.h"
+#include "runtime/service_runtime.h"
+#include "sim/invariants.h"
 #include "sim/schedule.h"
 
 namespace edgstr::sim {
@@ -92,59 +95,72 @@ TEST(SimDeterminismTest, SameSeedProducesIdenticalTelemetryExports) {
   EXPECT_TRUE(run_schedule(plain).chrome_trace.empty());
 }
 
-// The harness exists to catch replication bugs. Prove it does: disabling
-// retransmission (acks recorded at send time, so lost sync messages are
-// never re-sent) must be flagged — as divergence after quiescence, as an
-// acked-op loss, or as an exception escaping the replication plane — and
-// the failing seed must be reported for replay. The planted bug lives in
-// the push protocol's ack bookkeeping; digest sync's floors are the
-// peer's own advertisements, which would (correctly) heal right over it,
-// so these runs pin the push baseline.
-TEST(SimRegressionCatchTest, OptimisticAcksRegressionIsCaught) {
-  std::size_t caught = 0;
-  std::vector<std::uint64_t> failing;
-  for (std::uint64_t seed = 1; seed <= 10; ++seed) {
-    ScheduleConfig config;
-    config.seed = seed;
-    config.optimistic_acks = true;
-    config.digest_sync = false;
-    const ScheduleResult result = run_schedule(config);
-    if (!result.passed) {
-      ++caught;
-      failing.push_back(seed);
-      EXPECT_FALSE(result.violations.empty());
-      // The report carries the seed — the whole point of the harness.
-      EXPECT_NE(result.summary().find("seed=" + std::to_string(seed)), std::string::npos);
-      EXPECT_NE(result.summary().find("FAIL"), std::string::npos);
-    }
+// The convergence invariant is the harness's main verdict; pin that it
+// fires on a real divergence (naming the diverged unit) and stays silent
+// on identical replicas, so it can never go blind unnoticed.
+const char* kGlobalsServer = R"JS(
+var count = 0;
+app.post("/bump", function (req, res) {
+  count = count + 1;
+  res.send({ count: count });
+});
+)JS";
+
+struct TwoReplicas {
+  runtime::ServiceRuntime cloud_svc{kGlobalsServer};
+  runtime::ServiceRuntime edge_svc{kGlobalsServer};
+  runtime::ReplicaState cloud{"cloud", &cloud_svc, {}, {"*"}};
+  runtime::ReplicaState edge{"edge0", &edge_svc, {}, {"*"}};
+
+  TwoReplicas() {
+    cloud.attach_existing();
+    edge.initialize_from_snapshot(cloud_svc.capture_state());
   }
-  // Not every seed need trip over a lost message, but most must.
-  EXPECT_GE(caught, 5u) << "retransmission-disabled regression escaped the harness";
+  std::vector<std::pair<std::string, const runtime::ReplicaState*>> endpoints() const {
+    return {{"cloud", &cloud}, {"edge0", &edge}};
+  }
+};
+
+TEST(InvariantCheckerTest, ConvergenceFlagsTheDivergedUnit) {
+  TwoReplicas w;
+  http::HttpRequest bump;
+  bump.verb = http::Verb::kPost;
+  bump.path = "/bump";
+  w.edge_svc.handle(bump);
+  w.edge.record_local();
+
+  InvariantChecker checker;
+  checker.check_convergence(w.endpoints());
+  ASSERT_EQ(checker.violations().size(), 1u);
+  EXPECT_EQ(checker.violations()[0].invariant, "convergence");
+  EXPECT_NE(checker.violations()[0].detail.find("'globals'"), std::string::npos)
+      << checker.violations()[0].detail;
 }
 
-TEST(SimRegressionCatchTest, ConvergenceInvariantCatchesSilentDivergence) {
-  // Seed 24 (found by sweep) diverges *silently* under push-mode
-  // optimistic acks: no exception escapes and no acked write is lost,
-  // just replicas that still disagree after forced quiescence — exactly
-  // what the convergence invariant exists to catch.
-  ScheduleConfig config;
-  config.seed = 24;
-  config.optimistic_acks = true;
-  config.digest_sync = false;
-  const ScheduleResult result = run_schedule(config);
-  ASSERT_FALSE(result.passed) << result.summary();
-  bool convergence_violation = false;
-  for (const Violation& v : result.violations) {
-    if (v.invariant == "convergence") convergence_violation = true;
-  }
-  EXPECT_TRUE(convergence_violation) << result.summary();
+TEST(InvariantCheckerTest, ConvergenceIsSilentOnIdenticalReplicas) {
+  TwoReplicas w;
+  InvariantChecker checker;
+  checker.check_convergence(w.endpoints());
+  EXPECT_TRUE(checker.passed());
+}
+
+TEST(InvariantCheckerTest, RegressedSeqIsFlaggedUntilTheBaselineResets) {
+  InvariantChecker checker;
+  checker.observe_versions("edge0", {{"globals", {{"edge0", 5}}}});
+  checker.observe_versions("edge0", {{"globals", {{"edge0", 3}}}});
+  ASSERT_EQ(checker.violations().size(), 1u);
+  EXPECT_EQ(checker.violations()[0].invariant, "version-monotonic");
+
+  // A crash legitimately restarts the vector: after reset_baseline the
+  // same drop is not a violation.
+  checker.reset_baseline("edge0");
+  checker.observe_versions("edge0", {{"globals", {{"edge0", 1}}}});
+  EXPECT_EQ(checker.violations().size(), 1u);
 }
 
 // Every seed in tests/seeds/regressions.txt once exposed a real
 // replication bug (the file says which); replaying the corpus keeps the
-// exact schedules that caught them in the gate forever. Each seed runs
-// under both sync protocols — some of the recorded bugs were push-only,
-// some digest-only, and the schedule is identical either way. A line may
+// exact schedules that caught them in the gate forever. A line may
 // carry a prefix: a workload shape ("churn 19") replays migration/handoff
 // bugs only a shaped schedule can reach; "durable N" replays the seed with
 // durable op logs and power-loss injection on; "durable-fault N" pins a
@@ -188,31 +204,24 @@ TEST(SimRegressionCatchTest, RegressionSeedCorpusStaysGreen) {
     saw_shaped = saw_shaped || entry.shape != workload::WorkloadShape::kUniform;
     saw_durable = saw_durable || (entry.durable && !entry.durability_fault);
     saw_fault = saw_fault || entry.durability_fault;
-    for (const bool digest : {true, false}) {
-      ScheduleConfig config;
-      config.seed = entry.seed;
-      config.digest_sync = digest;
-      config.workload = entry.shape;
-      config.durable = entry.durable;
-      config.power_loss = entry.durable && !entry.durability_fault;
-      config.durability_fault = entry.durability_fault;
-      const ScheduleResult result = run_schedule(config);
-      if (entry.durability_fault) {
-        // The planted fault stays caught: a green run here means the
-        // durable-op-loss invariant went blind.
-        ASSERT_FALSE(result.passed)
-            << "lying-fsync fault escaped (" << (digest ? "digest" : "push")
-            << " sync): " << result.summary();
-        bool loss_violation = false;
-        for (const Violation& v : result.violations) {
-          if (v.invariant == "durable-op-loss") loss_violation = true;
-        }
-        EXPECT_TRUE(loss_violation) << result.summary();
-      } else {
-        EXPECT_TRUE(result.passed) << "regression seed resurfaced ("
-                                   << (digest ? "digest" : "push")
-                                   << " sync): " << result.summary();
+    ScheduleConfig config;
+    config.seed = entry.seed;
+    config.workload = entry.shape;
+    config.durable = entry.durable;
+    config.power_loss = entry.durable && !entry.durability_fault;
+    config.durability_fault = entry.durability_fault;
+    const ScheduleResult result = run_schedule(config);
+    if (entry.durability_fault) {
+      // The planted fault stays caught: a green run here means the
+      // durable-op-loss invariant went blind.
+      ASSERT_FALSE(result.passed) << "lying-fsync fault escaped: " << result.summary();
+      bool loss_violation = false;
+      for (const Violation& v : result.violations) {
+        if (v.invariant == "durable-op-loss") loss_violation = true;
       }
+      EXPECT_TRUE(loss_violation) << result.summary();
+    } else {
+      EXPECT_TRUE(result.passed) << "regression seed resurfaced: " << result.summary();
     }
   }
   EXPECT_TRUE(saw_shaped) << "migration regression seeds missing from the corpus";
@@ -290,7 +299,7 @@ TEST(SimVariantTest, ShadowsAreScheduleInvisible) {
 }
 
 TEST(SimVariantTest, PlantedVariantFaultIsCaught) {
-  // Mirrors OptimisticAcksRegressionIsCaught for the execution engine: a
+  // The harness's planted-fault guarantee for the execution engine: a
   // semantic fault planted on the legacy shadow (an unconditional UPDATE
   // skew on every replay) must surface as variant-agreement violations on
   // virtually every seed, each carrying the offending request.
@@ -406,10 +415,10 @@ TEST(SimDurabilityTest, MetricsCarryDurabilityKeysOnlyWhenDurable) {
   EXPECT_NE(on.metrics_snapshot.find("durability.recoveries"), std::string::npos);
 }
 
-// Mirrors OptimisticAcksRegressionIsCaught for the durability plane: a
-// disk that lies about fsync (claims durability, provides none) must be
-// flagged by the durable-op-loss invariant on (most) seeds that crash an
-// edge holding acked data.
+// The planted-fault guarantee for the durability plane: a disk that lies
+// about fsync (claims durability, provides none) must be flagged by the
+// durable-op-loss invariant on (most) seeds that crash an edge holding
+// acked data.
 TEST(SimRegressionCatchTest, DurabilityFaultIsCaught) {
   std::size_t caught = 0;
   for (std::uint64_t seed = 1; seed <= 10; ++seed) {
@@ -488,12 +497,13 @@ TEST(SimObservabilityTest, FlightDumpIsAttachedOnlyToFailures) {
   ASSERT_TRUE(passed.passed) << passed.summary();
   EXPECT_TRUE(passed.flight_dump.empty());
 
-  // Seed 24 under push-mode optimistic acks diverges; the black box must
-  // come out with the failure report.
+  // Seed 7 with a lying fsync loses durable writes (the corpus's
+  // durable-op-loss true positive); the black box must come out with the
+  // failure report.
   ScheduleConfig failing;
-  failing.seed = 24;
-  failing.optimistic_acks = true;
-  failing.digest_sync = false;
+  failing.seed = 7;
+  failing.durable = true;
+  failing.durability_fault = true;
   const ScheduleResult failed = run_schedule(failing);
   ASSERT_FALSE(failed.passed) << failed.summary();
   EXPECT_NE(failed.flight_dump.find("flight recorder:"), std::string::npos);
@@ -578,12 +588,11 @@ TEST(SimSloTest, PlantedVariantFaultFiresTheDivergenceRule) {
   EXPECT_FALSE(missed) << result.summary();
 }
 
-TEST(SimSloTest, StalenessRuleCatchesAWedgedReplicationPlane) {
+TEST(SimSloTest, RequiredQuantileAlertFiresAndNamesItsWindow) {
   // A tight custom quantile rule over a flash-crowd schedule: staleness
-  // p95 above 1.5 simulated seconds for 2 consecutive windows. Clean runs
-  // ride under it only when the plane keeps up; with sync wedged (every
-  // link lossy under optimistic acks) staleness climbs monotonically and
-  // the rule must fire, naming the offending window.
+  // p95 above 1.5 simulated seconds for 2 consecutive windows. Flash
+  // crowds push staleness past that bound even with healthy sync, so the
+  // required rule must fire, and its alert must name the offending window.
   obs::SloRule rule;
   rule.name = "staleness-tight";
   rule.kind = obs::SloRule::Kind::kQuantile;
@@ -595,8 +604,6 @@ TEST(SimSloTest, StalenessRuleCatchesAWedgedReplicationPlane) {
   ScheduleConfig config;
   config.seed = 9;
   config.workload = workload::WorkloadShape::kFlash;
-  config.optimistic_acks = true;
-  config.digest_sync = false;
   config.slo_watchdog = true;
   config.slo_rules = {rule};
   config.require_alerts = {"staleness-tight"};

@@ -343,7 +343,7 @@ TEST(MetricsTest, CountersAddAndSet) {
 TEST(MetricsTest, SnapshotAndSumRespectOverlappingPrefixes) {
   MetricsRegistry reg;
   reg.set("sync.bytes.wire", 100);
-  reg.set("sync.bytes.per_op_equiv", 400);
+  reg.set("sync.bytes.doc.tables", 400);
   reg.set("sync.rounds", 3);
   reg.set("runtime.request.count.local", 5);
 

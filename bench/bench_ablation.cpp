@@ -6,7 +6,7 @@
 //   A3  normalization   — entry/exit identification success across all 42
 //                         services with and without the temporary-variable
 //                         normalization pass (§III-E)
-//   A4  append-merge    — concurrent log appends: RGA-style merge vs.
+//   A4  append-merge    — concurrent log appends: stamp-ordered merge vs.
 //                         whole-file LWW data loss
 #include <benchmark/benchmark.h>
 
@@ -213,7 +213,7 @@ void ablation_append_merge() {
                 merged, total, lww, total2);
   }
   std::printf("\nWhole-file LWW silently drops one replica's concurrent log entries;\n"
-              "the RGA-style append-merge preserves every entry in a deterministic\n"
+              "the stamp-ordered append-merge preserves every entry in a deterministic\n"
               "stamp order on all replicas.\n");
 }
 

@@ -5,7 +5,7 @@
 // mutation appends an Op — (origin replica, per-replica sequence number,
 // Lamport stamp, JSON payload) — and getChanges(since) returns the ops a
 // peer has not seen according to its version vector. Ops are designed to be
-// commutative (LWW stamps / OR-set tags) and idempotent (dedup by
+// commutative (LWW stamps) and idempotent (dedup by
 // origin+seq), which is what makes the merge conflict-free.
 #pragma once
 
@@ -14,7 +14,6 @@
 #include <string>
 #include <vector>
 
-#include "crdt/vector_clock.h"
 #include "json/value.h"
 
 namespace edgstr::crdt {

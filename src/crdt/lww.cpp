@@ -2,31 +2,6 @@
 
 namespace edgstr::crdt {
 
-void LwwRegister::set(json::Value value, Stamp stamp) {
-  if (stamp_ < stamp || stamp_ == stamp) {
-    value_ = std::move(value);
-    stamp_ = stamp;
-  }
-}
-
-void LwwRegister::merge(const LwwRegister& other) {
-  if (stamp_ < other.stamp_) {
-    value_ = other.value_;
-    stamp_ = other.stamp_;
-  }
-}
-
-json::Value LwwRegister::to_json() const {
-  return json::Value::object({{"value", value_}, {"stamp", stamp_.to_json()}});
-}
-
-LwwRegister LwwRegister::from_json(const json::Value& v) {
-  LwwRegister reg;
-  reg.value_ = v["value"];
-  reg.stamp_ = Stamp::from_json(v["stamp"]);
-  return reg;
-}
-
 std::optional<json::Value> LwwMap::get(const std::string& key) const {
   auto it = entries_.find(key);
   if (it == entries_.end() || it->second.deleted) return std::nullopt;

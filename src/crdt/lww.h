@@ -1,6 +1,6 @@
-// State-based Last-Writer-Wins register and map.
+// State-based Last-Writer-Wins map.
 //
-// These are the foundational convergent types: merge is join (max by
+// This is the foundational convergent type: merge is join (max by
 // stamp), which is commutative, associative, and idempotent — the property
 // suite verifies all three under random interleavings.
 #pragma once
@@ -14,34 +14,6 @@
 #include "json/value.h"
 
 namespace edgstr::crdt {
-
-/// A single replicated cell resolved by latest Stamp.
-class LwwRegister {
- public:
-  LwwRegister() = default;
-
-  const json::Value& value() const { return value_; }
-  const Stamp& stamp() const { return stamp_; }
-  bool assigned() const { return stamp_.counter > 0; }
-
-  /// Local write with an explicit stamp (stamps come from the OpLog's
-  /// Lamport clock so cross-replica writes are totally ordered).
-  void set(json::Value value, Stamp stamp);
-
-  /// Join: keeps the entry with the larger stamp.
-  void merge(const LwwRegister& other);
-
-  bool operator==(const LwwRegister& other) const {
-    return value_ == other.value_ && stamp_ == other.stamp_;
-  }
-
-  json::Value to_json() const;
-  static LwwRegister from_json(const json::Value& v);
-
- private:
-  json::Value value_;
-  Stamp stamp_;
-};
 
 /// Keyed LWW entries with tombstoned removal.
 class LwwMap {

@@ -364,14 +364,4 @@ void ThreeTierDeployment::finish_watchdog() {
   if (watchdog_) watchdog_->finish(flight_.get());
 }
 
-bool ThreeTierDeployment::converged() {
-  const runtime::ReplicationGraph& graph = sync_->graph();
-  for (std::size_t i = 0; i < edge_states_.size(); ++i) {
-    const std::string host = edge_host(i);
-    if (!graph.endpoint_up(host) || graph.recovering(host)) continue;
-    if (!edge_states_[i]->converged_with(*cloud_state_)) return false;
-  }
-  return true;
-}
-
 }  // namespace edgstr::core

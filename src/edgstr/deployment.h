@@ -221,10 +221,6 @@ class ThreeTierDeployment {
   /// True when edge i is serving (up and fully rejoined).
   bool edge_serving(std::size_t i);
 
-  /// True when every *serving* edge replica's CRDT state matches the
-  /// cloud's (crashed / still-rejoining edges are expected to be behind).
-  bool converged();
-
   /// Client-session handoff: synchronously flushes `from_host`'s state to
   /// `to_host` along live sync links (ReplicationGraph::flush_session) so
   /// a client migrating between proxies keeps read-your-writes. Returns

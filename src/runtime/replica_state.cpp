@@ -442,13 +442,4 @@ std::string ReplicaState::state_digest() const {
   return joined;
 }
 
-bool ReplicaState::converged_with(const ReplicaState& other) const {
-  if (units_.size() != other.units_.size()) return false;
-  for (const DocUnit& unit : units_) {
-    const crdt::ReplicatedDoc* theirs = other.doc(unit.name);
-    if (!theirs || unit.doc->state_digest() != theirs->state_digest()) return false;
-  }
-  return true;
-}
-
 }  // namespace edgstr::runtime

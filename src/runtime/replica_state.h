@@ -145,14 +145,11 @@ class ReplicaState {
   std::size_t compact(const crdt::DocVersions& all_peers_acked);
   std::size_t total_op_count() const;
 
-  /// Convergence check against a peer (observable state equality, compared
-  /// per doc unit via state digests).
-  bool converged_with(const ReplicaState& other) const;
-
   /// Joined digest over every unit, in registration order, with unit names
   /// baked in: two replicas with the same unit set are converged iff their
-  /// joined digests are equal. Lets a parallel convergence check compute
-  /// each replica's digest on its own lane and compare strings afterwards.
+  /// joined digests are equal. The independent oracle for tests and the
+  /// sim's end-of-run check; ReplicationGraph::converged() compares the
+  /// same per-unit digests without joining them.
   std::string state_digest() const;
 
   /// Registered units, in registration order.

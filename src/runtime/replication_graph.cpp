@@ -1,6 +1,7 @@
 #include "runtime/replication_graph.h"
 
 #include <algorithm>
+#include <optional>
 #include <stdexcept>
 
 #include "runtime/lane_scheduler.h"
@@ -96,6 +97,43 @@ std::uint64_t ops_missing(const crdt::DocVersions& have, const crdt::DocVersions
   }
   return total;
 }
+
+/// The one observable-state comparison behind converged() and
+/// sample_staleness(): an endpoint matches the reference when it holds the
+/// same doc units with equal state digests. Each reference unit is digested
+/// at most once per instance, on first need; a compared endpoint's units
+/// are digested at most once each, stopping at the first unit that
+/// differs. Only the reference's digests are kept.
+class ReferenceDigests {
+ public:
+  explicit ReferenceDigests(const ReplicaState& reference)
+      : reference_(reference), digests_(reference.docs().size()) {}
+
+  /// Digests every reference unit now, so that later matches() calls only
+  /// read the cache and may run concurrently on several lanes.
+  void fill() {
+    for (std::size_t i = 0; i < digests_.size(); ++i) digest(i);
+  }
+
+  bool matches(const ReplicaState& other) {
+    const std::vector<DocUnit>& units = reference_.docs();
+    if (other.docs().size() != units.size()) return false;
+    for (std::size_t i = 0; i < units.size(); ++i) {
+      const crdt::ReplicatedDoc* theirs = other.doc(units[i].name);
+      if (!theirs || theirs->state_digest() != digest(i)) return false;
+    }
+    return true;
+  }
+
+ private:
+  const std::string& digest(std::size_t i) {
+    if (!digests_[i]) digests_[i] = reference_.docs()[i].doc->state_digest();
+    return *digests_[i];
+  }
+
+  const ReplicaState& reference_;
+  std::vector<std::optional<std::string>> digests_;
+};
 
 }  // namespace
 
@@ -407,6 +445,7 @@ void ReplicationGraph::tick_round() {
 void ReplicationGraph::sample_staleness() {
   if (!telemetry_ || endpoints_.empty()) return;
   const ReplicaState& reference = *endpoints_.front();
+  ReferenceDigests reference_digests(reference);
   const crdt::DocVersions ref_versions = reference.versions();
   const double now = network_.clock().now();
   for (const auto& endpoint : endpoints_) {
@@ -432,7 +471,7 @@ void ReplicationGraph::sample_staleness() {
     // "Fresh" = observably converged with the reference; the gauge reads
     // simulated seconds since that was last true.
     double& converged_at = last_converged_[id];
-    if (endpoint_up(id) && !recovering_.count(id) && endpoint->converged_with(reference)) {
+    if (endpoint_up(id) && !recovering_.count(id) && reference_digests.matches(*endpoint)) {
       converged_at = now;
     }
     const double stale_s = now - converged_at;
@@ -556,32 +595,34 @@ void ReplicationGraph::complete_rejoin(ReplicaState& joiner, RejoinVia via) {
 }
 
 bool ReplicationGraph::converged() const {
-  std::vector<const ReplicaState*> active;
-  active.reserve(endpoints_.size());
+  // A rejoining endpoint is not serving and is behind by construction.
+  if (!recovering_.empty()) return false;
+  std::vector<const ReplicaState*> up;
+  up.reserve(endpoints_.size());
   for (const auto& endpoint : endpoints_) {
-    const std::string& id = endpoint->id();
-    if (endpoint_up(id) && !recovering_.count(id)) active.push_back(endpoint.get());
+    if (endpoint_up(endpoint->id())) up.push_back(endpoint.get());
   }
-  if (active.size() < 2) return true;
+  if (up.size() < 2) return true;
+  ReferenceDigests reference(*up.front());
   if (scheduler_ && scheduler_->lanes() > 1) {
-    // Digest computation is the expensive part (it materializes each doc's
-    // observable state); fan it out — every endpoint digests on its own
-    // lane into its own slot — and compare strings after the barrier.
-    std::vector<std::string> digests(active.size());
-    for (std::size_t i = 0; i < active.size(); ++i) {
-      const ReplicaState* state = active[i];
-      std::string* slot = &digests[i];
+    // Digesting is the expensive part (it materializes each doc's
+    // observable state), so fan it out: the reference digests on its own
+    // lane, then every other endpoint compares on its own lane against the
+    // filled cache.
+    scheduler_->submit(scheduler_->lane_for(up.front()->id()), [&reference] { reference.fill(); });
+    scheduler_->barrier();
+    std::vector<char> matched(up.size(), 1);
+    for (std::size_t i = 1; i < up.size(); ++i) {
+      const ReplicaState* state = up[i];
+      char* slot = &matched[i];
       scheduler_->submit(scheduler_->lane_for(state->id()),
-                         [state, slot] { *slot = state->state_digest(); });
+                         [&reference, state, slot] { *slot = reference.matches(*state); });
     }
     scheduler_->barrier();
-    for (std::size_t i = 1; i < digests.size(); ++i) {
-      if (digests[i] != digests.front()) return false;
-    }
-    return true;
+    return std::all_of(matched.begin(), matched.end(), [](char m) { return m != 0; });
   }
-  for (std::size_t i = 1; i < active.size(); ++i) {
-    if (!active[i]->converged_with(*active.front())) return false;
+  for (std::size_t i = 1; i < up.size(); ++i) {
+    if (!reference.matches(*up[i])) return false;
   }
   return true;
 }
@@ -758,17 +799,6 @@ void ReplicationGraph::reset_traffic_stats() {
   metrics_.reset("sync.ops_shipped.");
   metrics_.reset("sync.digest.");
   metrics_.reset("sync.batch.");
-}
-
-void ReplicationGraph::update_convergence_lag() {
-  if (endpoints_.empty()) return;
-  const ReplicaState& reference = *endpoints_.front();
-  for (const auto& endpoint : endpoints_) {
-    if (endpoint.get() == &reference) continue;
-    double& streak = lag_streak_[endpoint->id()];
-    streak = endpoint->converged_with(reference) ? 0 : streak + 1;
-    metrics_.set("sync.lag_rounds." + endpoint->id(), streak);
-  }
 }
 
 void wire_star(ReplicationGraph& graph, const std::string& root,

@@ -59,8 +59,6 @@ class ReplicationGraph {
     for (const GraphLink& link : links_) out.emplace_back(link.a, link.b);
     return out;
   }
-  /// Endpoints that restarted but have not completed their rejoin yet.
-  std::size_t recovering_count() const { return recovering_.size(); }
   bool has_endpoint(const std::string& id) const { return index_.count(id) > 0; }
   /// Endpoint by id; throws std::out_of_range when absent.
   ReplicaState& endpoint(const std::string& id) const;
@@ -119,10 +117,11 @@ class ReplicationGraph {
   /// watchdog's handoff-failure-rate rule catches it.
   void set_handoff_fault(bool enabled) { handoff_fault_ = enabled; }
 
-  /// True when every *up, non-recovering* endpoint's observable state
-  /// matches every other's (compared through the first such endpoint's
-  /// digests). Crashed or still-rejoining endpoints are excluded — they
-  /// are expected to be behind.
+  /// The one definition of convergence: no endpoint is still rejoining,
+  /// and every up endpoint's observable state (per-unit state digests)
+  /// equals the first up endpoint's. Crashed endpoints are excluded — they
+  /// are expected to be behind; a recovering one is not serving yet, so
+  /// the graph has not converged until its rejoin lands.
   bool converged() const;
 
   /// Session handoff flush: synchronously drives `from`'s current state to
@@ -157,7 +156,7 @@ class ReplicationGraph {
   void reset_traffic_stats();
 
   /// Sync instrumentation: rounds, per-endpoint/per-doc ops and bytes,
-  /// wire bytes by message kind, convergence lag.
+  /// wire bytes by message kind, staleness.
   util::MetricsRegistry& metrics() { return metrics_; }
   const util::MetricsRegistry& metrics() const { return metrics_; }
 
@@ -168,16 +167,10 @@ class ReplicationGraph {
   /// (`sync.staleness.*`) are sampled every round.
   void set_telemetry(obs::Telemetry* telemetry);
 
-  /// Updates per-endpoint convergence-lag gauges: for every endpoint that
-  /// still diverges from the first endpoint, bumps its current lag streak;
-  /// a converged endpoint's streak resets to zero. Called by the scheduler
-  /// once per settled round.
-  void update_convergence_lag();
-
   /// Attaches a lane scheduler (owned by the deployment). With more than
   /// one lane, the embarrassingly-parallel parts of a round — the
   /// per-endpoint record_local() harvest and the converged() digest
-  /// computation — fan out across lanes (each endpoint on its seed-derived
+  /// comparison — fan out across lanes (each endpoint on its seed-derived
   /// lane) and rejoin at a barrier before any cross-endpoint step. Link
   /// exchanges stay on the serial netsim event loop, so deliveries,
   /// traffic stats, and telemetry bytes are identical at any lane count.
@@ -207,7 +200,6 @@ class ReplicationGraph {
   /// never a correctness input.
   std::map<std::string, crdt::DocVersions> peer_known_;
   util::MetricsRegistry metrics_;
-  std::map<std::string, double> lag_streak_;  ///< endpoint -> rounds diverged
 
   std::set<std::string> down_;        ///< crashed endpoints
   std::set<std::string> recovering_;  ///< restarted, rejoin not yet complete
@@ -266,7 +258,8 @@ class ReplicationGraph {
   enum class RejoinVia { kDelta, kBootstrap, kSnapshot };
   void complete_rejoin(ReplicaState& joiner, RejoinVia via);
   /// Per-endpoint version-vector lag and time-since-converged vs the first
-  /// endpoint; gauges + aggregate histograms. No-op without telemetry.
+  /// endpoint (the same state comparison converged() uses); gauges +
+  /// aggregate histograms. No-op without telemetry.
   void sample_staleness();
   /// Attached time-series sink, or nullptr (capture off / no telemetry).
   obs::TimeSeries* timeseries() const {

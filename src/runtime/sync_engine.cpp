@@ -46,7 +46,6 @@ int SyncEngine::sync_until_converged(int max_rounds) {
   for (int round = 1; round <= max_rounds; ++round) {
     tick();
     network_.clock().run();
-    graph_.update_convergence_lag();
     if (graph_.converged()) return round;
   }
   return -1;

@@ -45,8 +45,9 @@ class SyncEngine {
   /// One synchronous round (also usable directly by tests/benches).
   void tick() { graph_.tick_round(); }
 
-  /// Runs rounds until the whole graph converges (bounded by `max_rounds`);
-  /// returns rounds used, or -1 if not converged.
+  /// Runs rounds until ReplicationGraph::converged() holds (bounded by
+  /// `max_rounds`); returns rounds used, or -1 if not converged — including
+  /// when a restarted endpoint's rejoin cannot land within the bound.
   int sync_until_converged(int max_rounds = 16);
 
   /// Log compaction across the graph (see ReplicationGraph::compact_logs).
@@ -57,7 +58,7 @@ class SyncEngine {
   std::uint64_t sync_messages() const { return graph_.sync_messages(); }
   void reset_traffic_stats() { graph_.reset_traffic_stats(); }
 
-  /// Sync metrics (rounds, per-doc bytes/ops, convergence lag).
+  /// Sync metrics (rounds, per-doc bytes/ops, staleness).
   util::MetricsRegistry& metrics() { return graph_.metrics(); }
 
  private:

@@ -602,7 +602,7 @@ ScheduleResult run_schedule(const ScheduleConfig& config) {
     three.sync().tick();
     net.clock().run();
     three.poll_watchdog();
-    if (graph.recovering_count() == 0 && graph.converged()) break;
+    if (graph.converged()) break;
   }
   result.quiesce_rounds = quiesce;
   trace.record(now(), "quiesce", "rounds=" + std::to_string(quiesce));

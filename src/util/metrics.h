@@ -2,7 +2,7 @@
 // instrumentation.
 //
 // The replication plane records per-endpoint / per-doc sync statistics
-// (rounds, ops shipped, bytes by doc unit, convergence lag) into one of
+// (rounds, ops shipped, bytes by doc unit, staleness) into one of
 // these; the request path records service-latency histograms; benches and
 // the CLI print or export them. Counters and histograms are created on
 // first touch — no registration step — and live in sorted maps so printed

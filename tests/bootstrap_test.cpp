@@ -296,7 +296,7 @@ class BootstrapFixture : public ::testing::Test {
     three.restart_edge(1);
     EXPECT_GE(three.sync().sync_until_converged(32), 1);
     EXPECT_TRUE(three.edge_serving(1));
-    EXPECT_TRUE(three.converged());
+    EXPECT_TRUE(three.replication().converged());
     // The rejoined edge serves the full post-crash history.
     EXPECT_DOUBLE_EQ(three.request_sync(summary("gamma"), 1).body["count"].as_number(), 1.0);
 

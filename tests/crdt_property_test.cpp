@@ -3,10 +3,8 @@
 // instantiation explores a different interleaving.
 #include <gtest/gtest.h>
 
-#include "crdt/gcounter.h"
 #include "crdt/json_doc.h"
 #include "crdt/lww.h"
-#include "crdt/orset.h"
 #include "crdt/table.h"
 #include "util/rng.h"
 
@@ -66,63 +64,6 @@ TEST_P(CrdtPropertyTest, LwwMapMergeIdempotent) {
   twice.merge(b);
   twice.merge(b);
   EXPECT_TRUE(once == twice);
-}
-
-// ---- OrSet: same algebraic laws ------------------------------------------
-
-OrSet random_orset(util::Rng& rng, const std::string& replica) {
-  OrSet s;
-  const int ops = static_cast<int>(rng.uniform_int(1, 10));
-  for (int i = 0; i < ops; ++i) {
-    const std::string el = "e" + std::to_string(rng.uniform_int(0, 3));
-    if (rng.chance(0.3)) s.remove(el);
-    else s.add(el, replica);
-  }
-  return s;
-}
-
-TEST_P(CrdtPropertyTest, OrSetMergeCommutative) {
-  util::Rng rng(GetParam());
-  const OrSet a = random_orset(rng, "a");
-  const OrSet b = random_orset(rng, "b");
-  OrSet ab = a, ba = b;
-  ab.merge(b);
-  ba.merge(a);
-  EXPECT_TRUE(ab == ba);
-}
-
-TEST_P(CrdtPropertyTest, OrSetMergeIdempotent) {
-  util::Rng rng(GetParam() ^ 0x77);
-  const OrSet a = random_orset(rng, "a");
-  const OrSet b = random_orset(rng, "b");
-  OrSet once = a, twice = a;
-  once.merge(b);
-  twice.merge(b);
-  twice.merge(b);
-  EXPECT_TRUE(once == twice);
-}
-
-// ---- GCounter -------------------------------------------------------------
-
-TEST_P(CrdtPropertyTest, GCounterValueEqualsTotalIncrements) {
-  util::Rng rng(GetParam());
-  GCounter a, b, c;
-  std::uint64_t total = 0;
-  GCounter* replicas[3] = {&a, &b, &c};
-  const char* names[3] = {"a", "b", "c"};
-  for (int i = 0; i < 30; ++i) {
-    const std::size_t r = rng.index(3);
-    const std::uint64_t by = static_cast<std::uint64_t>(rng.uniform_int(1, 5));
-    replicas[r]->increment(names[r], by);
-    total += by;
-  }
-  a.merge(b);
-  a.merge(c);
-  EXPECT_EQ(a.value(), total);
-  // Merging in another order gives the same value.
-  c.merge(b);
-  c.merge(a);
-  EXPECT_EQ(c.value(), total);
 }
 
 // ---- CrdtJson: convergence under random op exchange ------------------------
@@ -224,71 +165,6 @@ TEST_P(CrdtPropertyTest, CrdtTableReplicasConvergeUnderRandomWorkload) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CrdtPropertyTest,
                          ::testing::Values(1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144, 233));
-
-}  // namespace
-}  // namespace edgstr::crdt
-// NOTE: appended suite — RGA convergence properties.
-#include "crdt/rga.h"
-
-namespace edgstr::crdt {
-namespace {
-
-class RgaPropertyTest : public ::testing::TestWithParam<std::uint64_t> {};
-
-TEST_P(RgaPropertyTest, ThreeReplicasConvergeUnderRandomEdits) {
-  util::Rng rng(GetParam());
-  Rga a("a"), b("b"), hub("hub");
-  Rga* replicas[3] = {&a, &b, &hub};
-
-  for (int round = 0; round < 6; ++round) {
-    for (Rga* r : replicas) {
-      const int edits = static_cast<int>(rng.uniform_int(0, 3));
-      for (int i = 0; i < edits; ++i) {
-        const auto entries = r->entries();
-        if (!entries.empty() && rng.chance(0.25)) {
-          r->erase(entries[rng.index(entries.size())].first);
-        } else if (!entries.empty() && rng.chance(0.4)) {
-          r->insert_after(entries[rng.index(entries.size())].first,
-                          json::Value(static_cast<double>(rng.uniform_int(0, 99))));
-        } else {
-          r->push_back(json::Value(static_cast<double>(rng.uniform_int(0, 99))));
-        }
-      }
-    }
-    // Star exchange through the hub, random order.
-    std::vector<Rga*> edges = {&a, &b};
-    rng.shuffle(edges);
-    for (Rga* edge : edges) {
-      hub.applyChanges(edge->getChanges(hub.version()));
-      edge->applyChanges(hub.getChanges(edge->version()));
-    }
-  }
-  for (Rga* edge : {&a, &b}) hub.applyChanges(edge->getChanges(hub.version()));
-  for (Rga* edge : {&a, &b}) edge->applyChanges(hub.getChanges(edge->version()));
-
-  EXPECT_TRUE(a.converged_with(hub));
-  EXPECT_TRUE(b.converged_with(hub));
-  EXPECT_TRUE(a.converged_with(b));
-}
-
-TEST_P(RgaPropertyTest, ConcurrentAppendsNeverLoseElements) {
-  util::Rng rng(GetParam() ^ 0x1111);
-  Rga a("a"), b("b");
-  std::size_t total = 0;
-  for (int round = 0; round < 4; ++round) {
-    const int na = static_cast<int>(rng.uniform_int(0, 4));
-    const int nb = static_cast<int>(rng.uniform_int(0, 4));
-    for (int i = 0; i < na; ++i) a.push_back(json::Value("a" + std::to_string(total++)));
-    for (int i = 0; i < nb; ++i) b.push_back(json::Value("b" + std::to_string(total++)));
-    b.applyChanges(a.getChanges(b.version()));
-    a.applyChanges(b.getChanges(a.version()));
-  }
-  EXPECT_TRUE(a.converged_with(b));
-  EXPECT_EQ(a.size(), total);
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, RgaPropertyTest,
-                         ::testing::Values(3, 7, 11, 19, 23, 31, 43, 59));
 
 }  // namespace
 }  // namespace edgstr::crdt

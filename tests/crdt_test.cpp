@@ -1,48 +1,12 @@
 #include <gtest/gtest.h>
 
 #include "crdt/files.h"
-#include "crdt/gcounter.h"
 #include "crdt/json_doc.h"
 #include "crdt/lww.h"
-#include "crdt/orset.h"
 #include "crdt/table.h"
-#include "crdt/vector_clock.h"
 
 namespace edgstr::crdt {
 namespace {
-
-// ----------------------------------------------------------- VectorClock --
-
-TEST(VectorClockTest, IncrementAndCompare) {
-  VectorClock a, b;
-  a.increment("r1");
-  EXPECT_EQ(a.compare(b), Ordering::kAfter);
-  EXPECT_EQ(b.compare(a), Ordering::kBefore);
-  b.merge(a);
-  EXPECT_EQ(a.compare(b), Ordering::kEqual);
-  a.increment("r1");
-  b.increment("r2");
-  EXPECT_EQ(a.compare(b), Ordering::kConcurrent);
-  EXPECT_TRUE(a.concurrent_with(b));
-}
-
-TEST(VectorClockTest, MergeIsPointwiseMax) {
-  VectorClock a, b;
-  a.set("x", 5);
-  a.set("y", 1);
-  b.set("y", 3);
-  a.merge(b);
-  EXPECT_EQ(a.get("x"), 5u);
-  EXPECT_EQ(a.get("y"), 3u);
-  EXPECT_EQ(a.get("unknown"), 0u);
-}
-
-TEST(VectorClockTest, JsonRoundTrip) {
-  VectorClock a;
-  a.set("r1", 7);
-  a.set("r2", 2);
-  EXPECT_EQ(VectorClock::from_json(a.to_json()), a);
-}
 
 // ----------------------------------------------------------------- Stamp --
 
@@ -104,15 +68,6 @@ TEST(OpLogTest, LamportAdvancesPastRemoteStamps) {
 
 // ------------------------------------------------------------------- LWW --
 
-TEST(LwwRegisterTest, LaterStampWins) {
-  LwwRegister a;
-  a.set(json::Value("old"), Stamp{1, "r1"});
-  a.set(json::Value("new"), Stamp{2, "r2"});
-  EXPECT_EQ(a.value().as_string(), "new");
-  a.set(json::Value("stale"), Stamp{1, "r3"});  // ignored
-  EXPECT_EQ(a.value().as_string(), "new");
-}
-
 TEST(LwwMapTest, PutGetRemove) {
   LwwMap m;
   m.put("k", json::Value(1), Stamp{1, "a"});
@@ -135,61 +90,6 @@ TEST(LwwMapTest, MergeResolvesByStamp) {
   a.merge(b);
   EXPECT_EQ(*a.get("k"), json::Value("from-a"));
   EXPECT_TRUE(a == b);
-}
-
-// ----------------------------------------------------------------- OrSet --
-
-TEST(OrSetTest, AddRemoveContains) {
-  OrSet s;
-  s.add("x", "r1");
-  EXPECT_TRUE(s.contains("x"));
-  s.remove("x");
-  EXPECT_FALSE(s.contains("x"));
-}
-
-TEST(OrSetTest, AddWinsOverConcurrentRemove) {
-  OrSet a, b;
-  a.add("x", "a");
-  b.merge(a);
-  // Concurrently: a removes x, b re-adds x (new tag).
-  a.remove("x");
-  b.add("x", "b");
-  a.merge(b);
-  b.merge(a);
-  EXPECT_TRUE(a.contains("x"));  // b's tag survives a's tombstones
-  EXPECT_TRUE(a == b);
-}
-
-TEST(OrSetTest, JsonRoundTrip) {
-  OrSet s;
-  s.add("x", "r1");
-  s.add("y", "r1");
-  s.remove("x");
-  const OrSet restored = OrSet::from_json(s.to_json());
-  EXPECT_TRUE(restored == s);
-}
-
-// -------------------------------------------------------------- GCounter --
-
-TEST(GCounterTest, IncrementAndMerge) {
-  GCounter a, b;
-  a.increment("r1", 3);
-  b.increment("r2", 4);
-  a.merge(b);
-  b.merge(a);
-  EXPECT_EQ(a.value(), 7u);
-  EXPECT_TRUE(a == b);
-  EXPECT_EQ(a.local("r1"), 3u);
-}
-
-TEST(PnCounterTest, SupportsDecrement) {
-  PnCounter a, b;
-  a.increment("r1", 10);
-  b.decrement("r2", 4);
-  a.merge(b);
-  EXPECT_EQ(a.value(), 6);
-  const PnCounter restored = PnCounter::from_json(a.to_json());
-  EXPECT_EQ(restored.value(), 6);
 }
 
 // -------------------------------------------------------------- CrdtJson --
@@ -416,85 +316,6 @@ TEST(CrdtFilesTest, FilterExcludesUnreplicatedPaths) {
   fa.write("replicated.txt", "r2");
   fa.write("private.txt", "p2");
   EXPECT_EQ(a.record_local_changes(), 1u);  // only the replicated path
-}
-
-}  // namespace
-}  // namespace edgstr::crdt
-// NOTE: appended suite — RGA list CRDT and CrdtFiles append-merge.
-#include "crdt/rga.h"
-
-namespace edgstr::crdt {
-namespace {
-
-TEST(RgaTest, PushBackPreservesOrder) {
-  Rga list("a");
-  list.push_back(json::Value(1));
-  list.push_back(json::Value(2));
-  list.push_back(json::Value(3));
-  EXPECT_EQ(list.to_json().dump(), "[1,2,3]");
-  EXPECT_EQ(list.size(), 3u);
-}
-
-TEST(RgaTest, InsertAfterAnchor) {
-  Rga list("a");
-  const ElementId first = list.push_back(json::Value("x"));
-  list.push_back(json::Value("z"));
-  list.insert_after(first, json::Value("y"));
-  EXPECT_EQ(list.to_json().dump(), R"(["x","y","z"])");
-}
-
-TEST(RgaTest, EraseTombstones) {
-  Rga list("a");
-  const ElementId id = list.push_back(json::Value(1));
-  list.push_back(json::Value(2));
-  list.erase(id);
-  EXPECT_EQ(list.to_json().dump(), "[2]");
-  list.erase(id);  // idempotent
-  EXPECT_EQ(list.size(), 1u);
-}
-
-TEST(RgaTest, TwoReplicasConvergeOnConcurrentAppends) {
-  Rga a("a"), b("b");
-  a.push_back(json::Value("from-a-1"));
-  b.push_back(json::Value("from-b-1"));
-  a.push_back(json::Value("from-a-2"));
-  b.applyChanges(a.getChanges(b.version()));
-  a.applyChanges(b.getChanges(a.version()));
-  EXPECT_TRUE(a.converged_with(b));
-  EXPECT_EQ(a.size(), 3u);  // nothing lost
-}
-
-TEST(RgaTest, ConcurrentInsertAfterSameAnchorDeterministic) {
-  Rga a("a"), b("b");
-  const ElementId anchor = a.push_back(json::Value("base"));
-  b.applyChanges(a.getChanges(b.version()));
-  a.insert_after(anchor, json::Value("A"));
-  b.insert_after(anchor, json::Value("B"));
-  b.applyChanges(a.getChanges(b.version()));
-  a.applyChanges(b.getChanges(a.version()));
-  EXPECT_TRUE(a.converged_with(b));
-  EXPECT_EQ(a.size(), 3u);
-}
-
-TEST(RgaTest, ApplyIsIdempotent) {
-  Rga a("a"), b("b");
-  a.push_back(json::Value(7));
-  const auto changes = a.getChanges({});
-  EXPECT_EQ(b.applyChanges(changes), 1u);
-  EXPECT_EQ(b.applyChanges(changes), 0u);
-  EXPECT_EQ(b.size(), 1u);
-}
-
-TEST(RgaTest, ThreeWayRelayConverges) {
-  Rga a("a"), b("b"), c("hub");
-  a.push_back(json::Value("a1"));
-  b.push_back(json::Value("b1"));
-  c.applyChanges(a.getChanges(c.version()));
-  c.applyChanges(b.getChanges(c.version()));
-  a.applyChanges(c.getChanges(a.version()));
-  b.applyChanges(c.getChanges(b.version()));
-  EXPECT_TRUE(a.converged_with(b));
-  EXPECT_TRUE(a.converged_with(c));
 }
 
 // ---------------------------------------------------- CrdtFiles appends --

@@ -68,7 +68,7 @@ TEST(ThreeTierDeploymentTest, FreshDeploymentIsConverged) {
   DeploymentConfig config;
   config.start_sync = false;
   ThreeTierDeployment three(transform_notes(), config);
-  EXPECT_TRUE(three.converged());  // identical init snapshots everywhere
+  EXPECT_TRUE(three.replication().converged());  // identical init snapshots everywhere
 }
 
 TEST(ThreeTierDeploymentTest, RequestsRoutableToSpecificEdges) {
@@ -98,7 +98,7 @@ TEST(ThreeTierDeploymentTest, PeriodicSyncStartsWhenConfigured) {
   three.network().clock().run_until(three.network().clock().now() + 3.0);
   three.sync().stop();
   three.network().clock().run_until(three.network().clock().now() + 3.0);
-  EXPECT_TRUE(three.converged());
+  EXPECT_TRUE(three.replication().converged());
   EXPECT_GT(three.sync().sync_messages(), 0u);
 }
 

@@ -54,12 +54,12 @@ TEST_F(FailureFixture, SyncSurvivesNamedPartitionWindow) {
     three.sync().tick();
     three.network().clock().run();
   }
-  EXPECT_FALSE(three.converged());
+  EXPECT_FALSE(three.replication().converged());
 
   // Heal the partition: the next rounds retransmit everything unacked.
   three.network().heal("wan-cut");
   EXPECT_GE(three.sync().sync_until_converged(8), 1);
-  EXPECT_TRUE(three.converged());
+  EXPECT_TRUE(three.replication().converged());
   // The cloud now sees the edge's reading.
   double latency = 0;
   TwoTierDeployment cloud_probe(result_.cloud_source, config);
@@ -83,7 +83,7 @@ TEST_F(FailureFixture, LossyLinkEventuallyConverges) {
   // Enough lossy rounds: each round re-sends whatever was never acked.
   const int rounds = three.sync().sync_until_converged(64);
   EXPECT_GT(rounds, 0);
-  EXPECT_TRUE(three.converged());
+  EXPECT_TRUE(three.replication().converged());
 }
 
 TEST_F(FailureFixture, PartitionedEdgesMergeThroughCloudAfterHeal) {
@@ -102,11 +102,11 @@ TEST_F(FailureFixture, PartitionedEdgesMergeThroughCloudAfterHeal) {
     three.network().clock().run();
   }
   // Edge0's data reached the cloud; edge1's did not.
-  EXPECT_FALSE(three.converged());
+  EXPECT_FALSE(three.replication().converged());
 
   three.network().heal("edge1-cut");
   EXPECT_GE(three.sync().sync_until_converged(8), 1);
-  EXPECT_TRUE(three.converged());
+  EXPECT_TRUE(three.replication().converged());
 
   // Edge0 sees edge1's reading relayed through the cloud.
   const http::HttpResponse resp = three.request_sync(summary("b"), 0);
@@ -165,7 +165,7 @@ TEST_F(FailureFixture, ConcurrentWritesAtAllTiersConverge) {
   three.cloud_state().record_local();
 
   EXPECT_GE(three.sync().sync_until_converged(8), 1);
-  EXPECT_TRUE(three.converged());
+  EXPECT_TRUE(three.replication().converged());
   for (std::size_t i = 0; i < 2; ++i) {
     const auto rows = three.edge(i).service()->database().execute("SELECT * FROM readings").rows;
     EXPECT_EQ(rows.size(), 3u) << "edge " << i;
@@ -240,15 +240,15 @@ TEST_F(FailureFixture, PeerLinkedEdgesConvergeWhileCloudPartitioned) {
     three.network().clock().run();
   }
   // Cloud is behind, but the edges see each other's data via gossip.
-  EXPECT_FALSE(three.converged());
-  EXPECT_TRUE(three.edge_state(0).converged_with(three.edge_state(1)));
+  EXPECT_FALSE(three.replication().converged());
+  EXPECT_EQ(three.edge_state(0).state_digest(), three.edge_state(1).state_digest());
   const http::HttpResponse resp = three.request_sync(summary("p2p-b"), 0);
   EXPECT_DOUBLE_EQ(resp.body["count"].as_number(), 1.0);
 
   // Heal the cut: the whole star converges.
   three.network().heal("cloud-cut");
   EXPECT_GE(three.sync().sync_until_converged(8), 1);
-  EXPECT_TRUE(three.converged());
+  EXPECT_TRUE(three.replication().converged());
 }
 
 TEST_F(FailureFixture, StarPartitionWritesBothSidesThenHealConverges) {
@@ -271,11 +271,11 @@ TEST_F(FailureFixture, StarPartitionWritesBothSidesThenHealConverges) {
     three.sync().tick();
     three.network().clock().run();
   }
-  EXPECT_FALSE(three.converged());
+  EXPECT_FALSE(three.replication().converged());
 
   three.network().heal("split");
   EXPECT_GE(three.sync().sync_until_converged(8), 1);
-  EXPECT_TRUE(three.converged());
+  EXPECT_TRUE(three.replication().converged());
   // Both sides' writes are visible from the other side.
   EXPECT_DOUBLE_EQ(three.request_sync(summary("side-b"), 0).body["count"].as_number(), 1.0);
   EXPECT_DOUBLE_EQ(three.request_sync(summary("side-a"), 1).body["count"].as_number(), 1.0);
@@ -298,13 +298,13 @@ TEST_F(FailureFixture, MeshPartitionWritesBothSidesThenHealConverges) {
     three.network().clock().run();
   }
   // The mesh side converged among itself; the cloud is behind.
-  EXPECT_TRUE(three.edge_state(0).converged_with(three.edge_state(1)));
-  EXPECT_FALSE(three.converged());
+  EXPECT_EQ(three.edge_state(0).state_digest(), three.edge_state(1).state_digest());
+  EXPECT_FALSE(three.replication().converged());
   EXPECT_DOUBLE_EQ(three.request_sync(summary("m1"), 0).body["count"].as_number(), 1.0);
 
   three.network().heal("cloud-off");
   EXPECT_GE(three.sync().sync_until_converged(8), 1);
-  EXPECT_TRUE(three.converged());
+  EXPECT_TRUE(three.replication().converged());
 }
 
 TEST_F(FailureFixture, HierarchyPartitionWritesBothSidesThenHealConverges) {
@@ -327,13 +327,13 @@ TEST_F(FailureFixture, HierarchyPartitionWritesBothSidesThenHealConverges) {
     three.network().clock().run();
   }
   // Each side converged internally through its regional relay.
-  EXPECT_TRUE(three.edge_state(0).converged_with(three.edge_state(1)));
-  EXPECT_TRUE(three.edge_state(2).converged_with(three.edge_state(3)));
-  EXPECT_FALSE(three.converged());
+  EXPECT_EQ(three.edge_state(0).state_digest(), three.edge_state(1).state_digest());
+  EXPECT_EQ(three.edge_state(2).state_digest(), three.edge_state(3).state_digest());
+  EXPECT_FALSE(three.replication().converged());
 
   three.network().heal("region-cut");
   EXPECT_GE(three.sync().sync_until_converged(16), 1);
-  EXPECT_TRUE(three.converged());
+  EXPECT_TRUE(three.replication().converged());
   // Cross-region visibility after the heal.
   EXPECT_DOUBLE_EQ(three.request_sync(summary("r1"), 0).body["count"].as_number(), 1.0);
   EXPECT_DOUBLE_EQ(three.request_sync(summary("r0"), 3).body["count"].as_number(), 1.0);
@@ -468,7 +468,7 @@ TEST_F(FailureFixture, PowerLossDuringCompactionRecoversTheOldLogImage) {
   EXPECT_GE(replayed, logged);  // the whole pre-compaction log replays
   three.restart_edge(0);
   EXPECT_GE(three.sync().sync_until_converged(16), 1);
-  EXPECT_TRUE(three.converged());
+  EXPECT_TRUE(three.replication().converged());
   EXPECT_DOUBLE_EQ(
       three.request_sync(summary("pre-compaction"), 0).body["count"].as_number(), 2.0);
 }
@@ -516,7 +516,7 @@ TEST_F(FailureFixture, CrashDuringSnapshotBootstrapEventuallyConverges) {
   three.restart_edge(0);
   EXPECT_GE(three.sync().sync_until_converged(32), 1);
   EXPECT_TRUE(three.edge_serving(0));
-  EXPECT_TRUE(three.converged());
+  EXPECT_TRUE(three.replication().converged());
   EXPECT_GE(three.replication().metrics().value("sync.rejoins.snapshot"), 1.0);
   EXPECT_DOUBLE_EQ(three.request_sync(summary("stable"), 0).body["count"].as_number(), 1.0);
   EXPECT_DOUBLE_EQ(three.request_sync(summary("while-down"), 0).body["count"].as_number(),

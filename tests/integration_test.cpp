@@ -45,7 +45,7 @@ TEST_P(SubjectAppTest, RegressionEquivalenceTwoVsThreeTier) {
   }
   // The replicated state converges once synchronization runs.
   EXPECT_GE(three.sync().sync_until_converged(), 1);
-  EXPECT_TRUE(three.converged());
+  EXPECT_TRUE(three.replication().converged());
 }
 
 TEST_P(SubjectAppTest, EdgeLatencyBeatsCloudOnLimitedWan) {
@@ -93,7 +93,7 @@ TEST_P(SubjectAppTest, BackgroundSyncConvergesDuringLiveTraffic) {
   three.sync().stop();
   three.network().clock().run_until(three.network().clock().now() + 10.0);
   EXPECT_GE(three.sync().sync_until_converged(8), 1);
-  EXPECT_TRUE(three.converged());
+  EXPECT_TRUE(three.replication().converged());
   EXPECT_GT(three.sync().total_sync_bytes(), 0u);
 }
 
@@ -131,7 +131,7 @@ TEST(MultiEdgeIntegration, TwoEdgesShareStateThroughCloud) {
   ingest(1, "b", 90);
 
   ASSERT_GE(three.sync().sync_until_converged(8), 1);
-  EXPECT_TRUE(three.converged());
+  EXPECT_TRUE(three.replication().converged());
 
   // Edge 0 now sees edge 1's readings (relayed through the cloud).
   http::HttpRequest summary;

@@ -354,11 +354,11 @@ std::uint64_t write_and_sync(core::ThreeTierDeployment& three, std::uint64_t* ro
   }
   if (root_span_out) *root_span_out = root_span;
 
-  for (int round = 0; round < 20 && !three.converged(); ++round) {
+  for (int round = 0; round < 20 && !three.replication().converged(); ++round) {
     three.sync().tick();
     three.network().clock().run();
   }
-  EXPECT_TRUE(three.converged());
+  EXPECT_TRUE(three.replication().converged());
   return trace;
 }
 

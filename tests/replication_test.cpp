@@ -1,10 +1,11 @@
 // Replication plane: ReplicationGraph topologies, batched wire encoding,
-// op-log compaction horizons, and sync metrics.
+// op-log compaction horizons, sync metrics, and convergence during rejoin.
 #include <gtest/gtest.h>
 
 #include "apps/app.h"
 #include "edgstr/deployment.h"
 #include "edgstr/pipeline.h"
+#include "obs/telemetry.h"
 #include "runtime/batch_budget.h"
 #include "runtime/replication_graph.h"
 #include "runtime/sync_engine.h"
@@ -120,9 +121,9 @@ TEST(ReplicationGraphTest, FullMeshConvergesWithCloudLinkCut) {
   EXPECT_EQ(w.rounds_to_converge(4), -1);
   // ...but the island of edges agrees with itself.
   for (std::size_t e = 2; e <= 4; ++e) {
-    EXPECT_TRUE(w.states[e]->converged_with(*w.states[1])) << "edge " << e;
+    EXPECT_EQ(w.states[e]->state_digest(), w.states[1]->state_digest()) << "edge " << e;
   }
-  EXPECT_FALSE(w.states[0]->converged_with(*w.states[1]));
+  EXPECT_NE(w.states[0]->state_digest(), w.states[1]->state_digest());
 
   // Heal the uplinks: everything converges, cloud included.
   for (std::size_t e = 1; e <= 4; ++e) w.connect(0, e, netsim::LinkConfig::limited_wan());
@@ -195,9 +196,9 @@ TEST(ReplicationGraphTest, DeploymentBuildsHierarchyTopology) {
       {{"sensor", "s"}, {"values", json::Value::array({json::Value(1.0)})}});
   three.request_sync(ingest, 0);
   EXPECT_GE(three.sync().sync_until_converged(8), 1);
-  EXPECT_TRUE(three.converged());
-  EXPECT_TRUE(three.regional_state(0).converged_with(three.cloud_state()));
-  EXPECT_TRUE(three.regional_state(1).converged_with(three.cloud_state()));
+  EXPECT_TRUE(three.replication().converged());
+  EXPECT_EQ(three.regional_state(0).state_digest(), three.cloud_state().state_digest());
+  EXPECT_EQ(three.regional_state(1).state_digest(), three.cloud_state().state_digest());
 }
 
 // And the star+mesh variant keeps the star links plus all edge pairs.
@@ -497,30 +498,81 @@ TEST(BatchBudgetTest, ForceBudgetPinsTheLadderAgainstIncrease) {
   EXPECT_EQ(b.budget(), 1024u);  // clean rounds cannot climb past the pin
 }
 
-TEST(SyncMetricsTest, ConvergenceLagTracksDivergedEndpoints) {
+TEST(SyncMetricsTest, StalenessGaugeTracksDivergedEndpoints) {
   GraphWorld w(2);
+  obs::Telemetry telemetry(&w.net.clock());
+  w.graph.set_telemetry(&telemetry);
   netsim::LinkConfig dead = netsim::LinkConfig::lan();
   dead.loss_probability = 1.0;
   w.connect(0, 1, dead);
   w.link(0, 1);
   w.services[1]->handle(bump(1));
+  // A lost digest schedules nothing, so each dead round also lets one
+  // simulated second pass.
+  double previous = -1;
   for (int i = 0; i < 3; ++i) {
     w.graph.tick_round();
+    w.net.clock().schedule(1.0, [] {});
     w.net.clock().run();
-    w.graph.update_convergence_lag();
+    const double stale = w.graph.metrics().value("sync.staleness.seconds.r1");
+    EXPECT_GT(stale, previous) << "round " << i;
+    previous = stale;
   }
-  EXPECT_GE(w.graph.metrics().value("sync.lag_rounds.r1"), 3.0);
+  EXPECT_GT(previous, 0.0);
 
   w.connect(0, 1, netsim::LinkConfig::lan());
-  // Up to two healed rounds: the digest's pull direction alternates, so
-  // the round that ships r1's write may be the second one.
-  for (int i = 0; i < 2; ++i) {
-    w.graph.tick_round();
-    w.net.clock().run();
-    w.graph.update_convergence_lag();
-  }
-  EXPECT_EQ(w.graph.metrics().value("sync.lag_rounds.r1"), 0.0);
+  ASSERT_GE(w.rounds_to_converge(4), 1);
+  // The gauge is sampled at the end of a tick, before its deliveries
+  // drain: the tick after convergence is the first to see the healed state.
+  w.graph.tick_round();
+  w.net.clock().run();
+  EXPECT_EQ(w.graph.metrics().value("sync.staleness.seconds.r1"), 0.0);
 }
+
+// ------------------------------------------------------ rejoin convergence --
+
+// A restarted edge that cannot reach any neighbor is still rejoining: it is
+// not serving and its state lags the cloud's, so the graph has not
+// converged, at any lane count. Once the partition heals, the rejoin lands
+// and the same query turns green.
+class RejoinConvergenceTest : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(RejoinConvergenceTest, PartitionedRejoinIsNotConverged) {
+  const apps::SubjectApp& app = apps::sensor_hub();
+  const http::TrafficRecorder traffic = record_traffic(app.server_source, app.workload);
+  const TransformResult result = Pipeline().transform(app.name, app.server_source, traffic);
+  ASSERT_TRUE(result.ok) << result.error;
+
+  DeploymentConfig config;
+  config.start_sync = false;
+  config.lanes = GetParam();
+  ThreeTierDeployment three(result, config);
+
+  http::HttpRequest ingest;
+  ingest.verb = http::Verb::kPost;
+  ingest.path = "/ingest";
+  ingest.params = json::Value::object(
+      {{"sensor", "s"}, {"values", json::Value::array({json::Value(1.0)})}});
+  three.crash_edge(0);
+  ASSERT_TRUE(three.request_sync(ingest, 0).ok());  // forwarded; the cloud acks it
+  three.network().partition("rejoin-cut", {edge_host(0)}, {kCloudHost});
+  three.restart_edge(0);
+
+  EXPECT_EQ(three.sync().sync_until_converged(8), -1);
+  EXPECT_FALSE(three.replication().converged());
+  EXPECT_FALSE(three.edge_serving(0));
+
+  three.network().heal("rejoin-cut");
+  EXPECT_GE(three.sync().sync_until_converged(8), 1);
+  EXPECT_TRUE(three.replication().converged());
+  EXPECT_TRUE(three.edge_serving(0));
+  EXPECT_EQ(three.edge_state(0).state_digest(), three.cloud_state().state_digest());
+}
+
+INSTANTIATE_TEST_SUITE_P(Lanes, RejoinConvergenceTest, ::testing::Values(1, 4),
+                         [](const ::testing::TestParamInfo<std::size_t>& info) {
+                           return "lanes" + std::to_string(info.param);
+                         });
 
 }  // namespace
 }  // namespace edgstr::core

@@ -28,6 +28,7 @@ void CrdtFiles::seed_baseline() {
       const std::string& contents = fs_->read(path);
       files_.put(path, json::Value(contents), Stamp{0, ""});
       last_contents_[path] = contents;
+      rehash_path(path);
     }
   }
 }
@@ -39,6 +40,7 @@ void CrdtFiles::initialize(const json::Value& vfs_snapshot,
   log_ = OpLog(log_.replica());
   files_ = LwwMap();
   appends_.clear();
+  clear_hashes();
   fs_->restore(vfs_snapshot);
   attach_existing(std::move(replicated_paths));
 }
@@ -72,11 +74,30 @@ void CrdtFiles::sync_local_file(const std::string& path) {
     }
     last_contents_[path] = content;
     known_versions_[path] = fs_->version(path);
+    set_path_hash(path, &content);
   } else {
     if (fs_->exists(path)) fs_->remove(path);
     known_versions_.erase(path);
     last_contents_.erase(path);
+    set_path_hash(path, nullptr);
   }
+}
+
+void CrdtFiles::set_path_hash(const std::string& path, const std::string* content) {
+  std::uint64_t& term = path_hashes_[path];
+  hash_ -= term;
+  term = content ? entry_hash(path, *content) : 0;
+  hash_ += term;
+}
+
+void CrdtFiles::rehash_path(const std::string& path) {
+  std::string content;
+  set_path_hash(path, materialize_path(path, &content) ? &content : nullptr);
+}
+
+void CrdtFiles::clear_hashes() {
+  path_hashes_.clear();
+  hash_ = 0;
 }
 
 std::size_t CrdtFiles::record_local_changes() {
@@ -109,6 +130,7 @@ std::size_t CrdtFiles::record_local_changes() {
       appends_[path].clear();  // rewrite supersedes the tail
     }
     last_contents_[path] = contents;
+    rehash_path(path);
     ++count;
   }
   // Removed files.
@@ -120,6 +142,7 @@ std::size_t CrdtFiles::record_local_changes() {
         log_.record(op);
         files_.remove(it->first, op.stamp);
         appends_[it->first].clear();
+        rehash_path(it->first);
         ++count;
       }
       last_contents_.erase(it->first);
@@ -195,6 +218,7 @@ void CrdtFiles::restore_bootstrap(const json::Value& v) {
   std::set<std::string> paths;
   for (const std::string& path : files_.all_keys()) paths.insert(path);
   for (const auto& [path, tail] : appends_) paths.insert(path);
+  clear_hashes();
   for (const std::string& path : paths) sync_local_file(path);
 }
 
@@ -230,33 +254,17 @@ void CrdtFiles::install_snapshot(const Snapshot& snap) {
   std::set<std::string> paths;
   for (const std::string& path : files_.all_keys()) paths.insert(path);
   for (const auto& [path, tail] : appends_) paths.insert(path);
+  clear_hashes();
   for (const std::string& path : paths) sync_local_file(path);
-}
-
-std::set<std::string> CrdtFiles::live_paths() const {
-  std::set<std::string> out;
-  for (const std::string& path : files_.keys()) out.insert(path);
-  return out;
 }
 
 std::string CrdtFiles::state_digest() const {
   json::Object view;
-  for (const std::string& path : live_paths()) {
+  for (const std::string& path : files_.keys()) {
     std::string content;
     if (materialize_path(path, &content)) view.set(path, json::Value(std::move(content)));
   }
   return json::Value(std::move(view)).dump();
-}
-
-bool CrdtFiles::converged_with(const CrdtFiles& other) const {
-  const std::set<std::string> mine = live_paths();
-  if (mine != other.live_paths()) return false;
-  for (const std::string& path : mine) {
-    std::string a, b;
-    if (!materialize_path(path, &a) || !other.materialize_path(path, &b)) return false;
-    if (a != b) return false;
-  }
-  return true;
 }
 
 }  // namespace edgstr::crdt

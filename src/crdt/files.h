@@ -73,13 +73,14 @@ class CrdtFiles : public ReplicatedDoc {
   /// Digest over the *materialized* view (base + merged append tails), the
   /// same observable the convergence check always used for files.
   std::string state_digest() const override;
+  /// Sum of entry_hash(path, materialized contents) over live paths; only
+  /// the path an op or local change touched is re-hashed.
+  std::uint64_t state_hash() const override { return hash_; }
   json::Value bootstrap_state() const override;
   void restore_bootstrap(const json::Value& v) override;
   Snapshot cut_snapshot() const override;
   void install_snapshot(const Snapshot& snap) override;
   void set_origin(const std::string& origin) override { log_.set_origin(origin); }
-
-  bool converged_with(const CrdtFiles& other) const;
 
  private:
   struct AppendEntry {
@@ -96,6 +97,9 @@ class CrdtFiles : public ReplicatedDoc {
   std::map<std::string, std::string> last_contents_;  ///< for append detection
   std::set<std::string> replicated_paths_;  ///< empty = all
   std::set<std::string> append_suffixes_ = {".log"};
+  /// path -> its term in hash_ (0 while the path is not live).
+  std::map<std::string, std::uint64_t> path_hashes_;
+  std::uint64_t hash_ = 0;
 
   bool is_replicated(const std::string& path) const {
     return replicated_paths_.empty() || replicated_paths_.count(path) > 0;
@@ -106,11 +110,16 @@ class CrdtFiles : public ReplicatedDoc {
   /// Returns false if the path is deleted.
   bool materialize_path(const std::string& path, std::string* out) const;
   /// Writes the materialized view into the local VFS and refreshes the
-  /// change-detection bookkeeping.
+  /// change-detection bookkeeping and the path's hash term.
   void sync_local_file(const std::string& path);
 
-  /// Live replicated paths (union of base map and append tails).
-  std::set<std::string> live_paths() const;
+  /// Replaces `path`'s term in hash_ with the hash of `content` (nullptr:
+  /// the path is not live and contributes nothing).
+  void set_path_hash(const std::string& path, const std::string* content);
+  /// Re-hashes `path` from its materialized view.
+  void rehash_path(const std::string& path);
+  /// Drops every hash term; callers then re-hash each live path.
+  void clear_hashes();
 
   void seed_baseline();
 };

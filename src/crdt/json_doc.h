@@ -79,6 +79,7 @@ class CrdtJson : public ReplicatedDoc {
     return applied;
   }
   std::string state_digest() const override { return state_.digest(); }
+  std::uint64_t state_hash() const override { return state_.state_hash(); }
   json::Value bootstrap_state() const override;
   void restore_bootstrap(const json::Value& v) override;
   Snapshot cut_snapshot() const override;
@@ -87,9 +88,6 @@ class CrdtJson : public ReplicatedDoc {
 
   /// Live document as a JSON object.
   json::Value materialize() const;
-
-  /// Observable-state equality (convergence check).
-  bool converged_with(const CrdtJson& other) const { return state_ == other.state_; }
 
  private:
   OpLog log_;

@@ -1,6 +1,40 @@
 #include "crdt/lww.h"
 
+#include "util/strings.h"
+
 namespace edgstr::crdt {
+
+namespace {
+
+std::uint64_t mix64(std::uint64_t z) {
+  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+  return z ^ (z >> 31);
+}
+
+}  // namespace
+
+std::uint64_t entry_hash(std::string_view key, std::string_view value_repr) {
+  return mix64(util::fnv1a(key) * 0x9e3779b97f4a7c15ULL + util::fnv1a(value_repr));
+}
+
+LwwMap::Entry LwwMap::live_entry(const std::string& key, json::Value value, Stamp stamp) {
+  const std::uint64_t hash = entry_hash(key, value.dump());
+  return Entry{std::move(value), std::move(stamp), false, hash};
+}
+
+void LwwMap::assign(const std::string& key, Entry entry) {
+  auto [it, inserted] = entries_.try_emplace(key);
+  if (!inserted && !it->second.deleted) {
+    hash_ -= it->second.hash;
+    --live_;
+  }
+  if (!entry.deleted) {
+    hash_ += entry.hash;
+    ++live_;
+  }
+  it->second = std::move(entry);
+}
 
 std::optional<json::Value> LwwMap::get(const std::string& key) const {
   auto it = entries_.find(key);
@@ -11,14 +45,14 @@ std::optional<json::Value> LwwMap::get(const std::string& key) const {
 void LwwMap::put(const std::string& key, json::Value value, Stamp stamp) {
   auto it = entries_.find(key);
   if (it == entries_.end() || it->second.stamp < stamp) {
-    entries_[key] = Entry{std::move(value), stamp, false};
+    assign(key, live_entry(key, std::move(value), stamp));
   }
 }
 
 void LwwMap::remove(const std::string& key, Stamp stamp) {
   auto it = entries_.find(key);
   if (it == entries_.end() || it->second.stamp < stamp) {
-    entries_[key] = Entry{json::Value(), stamp, true};
+    assign(key, Entry{json::Value(), stamp, true});
   }
 }
 
@@ -26,7 +60,7 @@ void LwwMap::merge(const LwwMap& other) {
   for (const auto& [key, entry] : other.entries_) {
     auto it = entries_.find(key);
     if (it == entries_.end() || it->second.stamp < entry.stamp) {
-      entries_[key] = entry;
+      assign(key, entry);
     }
   }
 }
@@ -76,8 +110,10 @@ json::Value LwwMap::to_json() const {
 LwwMap LwwMap::from_json(const json::Value& v) {
   LwwMap map;
   for (const auto& [key, entry] : v.as_object()) {
-    map.entries_[key] = Entry{entry["value"], Stamp::from_json(entry["stamp"]),
-                              entry["deleted"].as_bool()};
+    Stamp stamp = Stamp::from_json(entry["stamp"]);
+    map.assign(key, entry["deleted"].as_bool()
+                        ? Entry{entry["value"], std::move(stamp), true}
+                        : live_entry(key, entry["value"], std::move(stamp)));
   }
   return map;
 }

@@ -5,15 +5,23 @@
 // suite verifies all three under random interleavings.
 #pragma once
 
+#include <cstdint>
 #include <map>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "crdt/change.h"
 #include "json/value.h"
 
 namespace edgstr::crdt {
+
+/// One live (key, value) pair's contribution to a doc's state_hash(): the
+/// splitmix64 finaliser over fnv1a(key) and fnv1a(value_repr). A doc's hash
+/// is the sum of its live pairs' contributions mod 2^64, so it does not
+/// depend on insertion order and updates in O(1) per changed pair.
+std::uint64_t entry_hash(std::string_view key, std::string_view value_repr);
 
 /// Keyed LWW entries with tombstoned removal.
 class LwwMap {
@@ -33,13 +41,17 @@ class LwwMap {
   /// Every key ever written, including tombstoned ones — what a restored
   /// replica must re-materialize (tombstones drive local deletions).
   std::vector<std::string> all_keys() const;
-  std::size_t live_size() const { return keys().size(); }
+  std::size_t live_size() const { return live_; }
 
   bool operator==(const LwwMap& other) const;
 
   /// Deterministic serialization of the *observable* state (live keys and
   /// values, no stamps or tombstones) — equal digests iff operator== holds.
   std::string digest() const;
+
+  /// Sum of entry_hash(key, value.dump()) over live entries, kept current on
+  /// every write: equal digest() strings always give equal hashes.
+  std::uint64_t state_hash() const { return hash_; }
 
   json::Value to_json() const;
   static LwwMap from_json(const json::Value& v);
@@ -49,8 +61,16 @@ class LwwMap {
     json::Value value;
     Stamp stamp;
     bool deleted = false;
+    std::uint64_t hash = 0;  ///< entry_hash of a live entry; 0 for a tombstone
   };
   std::map<std::string, Entry> entries_;
+  std::uint64_t hash_ = 0;
+  std::size_t live_ = 0;
+
+  /// The one writer of entries_: swaps `key`'s entry for `entry` and moves
+  /// hash_ and live_ by the difference.
+  void assign(const std::string& key, Entry entry);
+  static Entry live_entry(const std::string& key, json::Value value, Stamp stamp);
 };
 
 }  // namespace edgstr::crdt

@@ -9,6 +9,7 @@
 // sets, ...) is one registration line, not another copy of the sync logic.
 #pragma once
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -45,8 +46,16 @@ class ReplicatedDoc {
   virtual std::size_t op_count() const = 0;
 
   /// Deterministic fingerprint of the observable state: two replicas of the
-  /// same doc are converged iff their digests are equal.
+  /// same doc are converged iff their digests are equal. Materializes the
+  /// whole state, so it is the independent oracle (sim invariants, tests,
+  /// end-of-run digests), never a per-round serving check.
   virtual std::string state_digest() const = 0;
+
+  /// Order-independent 64-bit hash of the same observable state, kept
+  /// current in O(changed entries) on every mutation: equal state_digest()
+  /// strings always give equal hashes (and distinct ones distinct hashes
+  /// barring a 2^-64 collision). What the replication plane compares.
+  virtual std::uint64_t state_hash() const = 0;
 
   /// Full replicated-state serialization for peer bootstrap: the CRDT state
   /// plus the retained op log, version vector, and compaction floor —

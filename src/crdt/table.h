@@ -64,14 +64,12 @@ class CrdtTable : public ReplicatedDoc {
   }
   std::size_t apply(const std::vector<Op>& ops) override { return applyChanges(ops); }
   std::string state_digest() const override { return rows_.digest(); }
+  std::uint64_t state_hash() const override { return rows_.state_hash(); }
   json::Value bootstrap_state() const override;
   void restore_bootstrap(const json::Value& v) override;
   Snapshot cut_snapshot() const override;
   void install_snapshot(const Snapshot& snap) override;
   void set_origin(const std::string& origin) override { log_.set_origin(origin); }
-
-  /// Observable-state convergence: live rows by global key.
-  bool converged_with(const CrdtTable& other) const { return rows_ == other.rows_; }
 
   /// Number of live replicated rows.
   std::size_t live_rows() const { return rows_.live_size(); }

@@ -1,7 +1,7 @@
 #include "runtime/replication_graph.h"
 
 #include <algorithm>
-#include <optional>
+#include <cassert>
 #include <stdexcept>
 
 #include "runtime/lane_scheduler.h"
@@ -100,40 +100,21 @@ std::uint64_t ops_missing(const crdt::DocVersions& have, const crdt::DocVersions
 
 /// The one observable-state comparison behind converged() and
 /// sample_staleness(): an endpoint matches the reference when it holds the
-/// same doc units with equal state digests. Each reference unit is digested
-/// at most once per instance, on first need; a compared endpoint's units
-/// are digested at most once each, stopping at the first unit that
-/// differs. Only the reference's digests are kept.
-class ReferenceDigests {
- public:
-  explicit ReferenceDigests(const ReplicaState& reference)
-      : reference_(reference), digests_(reference.docs().size()) {}
-
-  /// Digests every reference unit now, so that later matches() calls only
-  /// read the cache and may run concurrently on several lanes.
-  void fill() {
-    for (std::size_t i = 0; i < digests_.size(); ++i) digest(i);
+/// same doc units with equal state hashes — one word per unit, no
+/// materialization. Debug builds also check each verdict against the
+/// state_digest() oracle.
+bool same_state(const ReplicaState& reference, const ReplicaState& other) {
+  const std::vector<DocUnit>& units = reference.docs();
+  if (other.docs().size() != units.size()) return false;
+  for (const DocUnit& unit : units) {
+    const crdt::ReplicatedDoc* theirs = other.doc(unit.name);
+    if (!theirs) return false;
+    const bool equal = theirs->state_hash() == unit.doc->state_hash();
+    assert(equal == (theirs->state_digest() == unit.doc->state_digest()));
+    if (!equal) return false;
   }
-
-  bool matches(const ReplicaState& other) {
-    const std::vector<DocUnit>& units = reference_.docs();
-    if (other.docs().size() != units.size()) return false;
-    for (std::size_t i = 0; i < units.size(); ++i) {
-      const crdt::ReplicatedDoc* theirs = other.doc(units[i].name);
-      if (!theirs || theirs->state_digest() != digest(i)) return false;
-    }
-    return true;
-  }
-
- private:
-  const std::string& digest(std::size_t i) {
-    if (!digests_[i]) digests_[i] = reference_.docs()[i].doc->state_digest();
-    return *digests_[i];
-  }
-
-  const ReplicaState& reference_;
-  std::vector<std::optional<std::string>> digests_;
-};
+  return true;
+}
 
 }  // namespace
 
@@ -445,7 +426,6 @@ void ReplicationGraph::tick_round() {
 void ReplicationGraph::sample_staleness() {
   if (!telemetry_ || endpoints_.empty()) return;
   const ReplicaState& reference = *endpoints_.front();
-  ReferenceDigests reference_digests(reference);
   const crdt::DocVersions ref_versions = reference.versions();
   const double now = network_.clock().now();
   for (const auto& endpoint : endpoints_) {
@@ -471,7 +451,7 @@ void ReplicationGraph::sample_staleness() {
     // "Fresh" = observably converged with the reference; the gauge reads
     // simulated seconds since that was last true.
     double& converged_at = last_converged_[id];
-    if (endpoint_up(id) && !recovering_.count(id) && reference_digests.matches(*endpoint)) {
+    if (endpoint_up(id) && !recovering_.count(id) && same_state(reference, *endpoint)) {
       converged_at = now;
     }
     const double stale_s = now - converged_at;
@@ -597,32 +577,14 @@ void ReplicationGraph::complete_rejoin(ReplicaState& joiner, RejoinVia via) {
 bool ReplicationGraph::converged() const {
   // A rejoining endpoint is not serving and is behind by construction.
   if (!recovering_.empty()) return false;
-  std::vector<const ReplicaState*> up;
-  up.reserve(endpoints_.size());
+  const ReplicaState* reference = nullptr;
   for (const auto& endpoint : endpoints_) {
-    if (endpoint_up(endpoint->id())) up.push_back(endpoint.get());
-  }
-  if (up.size() < 2) return true;
-  ReferenceDigests reference(*up.front());
-  if (scheduler_ && scheduler_->lanes() > 1) {
-    // Digesting is the expensive part (it materializes each doc's
-    // observable state), so fan it out: the reference digests on its own
-    // lane, then every other endpoint compares on its own lane against the
-    // filled cache.
-    scheduler_->submit(scheduler_->lane_for(up.front()->id()), [&reference] { reference.fill(); });
-    scheduler_->barrier();
-    std::vector<char> matched(up.size(), 1);
-    for (std::size_t i = 1; i < up.size(); ++i) {
-      const ReplicaState* state = up[i];
-      char* slot = &matched[i];
-      scheduler_->submit(scheduler_->lane_for(state->id()),
-                         [&reference, state, slot] { *slot = reference.matches(*state); });
+    if (!endpoint_up(endpoint->id())) continue;
+    if (!reference) {
+      reference = endpoint.get();
+    } else if (!same_state(*reference, *endpoint)) {
+      return false;
     }
-    scheduler_->barrier();
-    return std::all_of(matched.begin(), matched.end(), [](char m) { return m != 0; });
-  }
-  for (std::size_t i = 1; i < up.size(); ++i) {
-    if (!reference.matches(*up[i])) return false;
   }
   return true;
 }

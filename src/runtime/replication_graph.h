@@ -118,10 +118,11 @@ class ReplicationGraph {
   void set_handoff_fault(bool enabled) { handoff_fault_ = enabled; }
 
   /// The one definition of convergence: no endpoint is still rejoining,
-  /// and every up endpoint's observable state (per-unit state digests)
-  /// equals the first up endpoint's. Crashed endpoints are excluded — they
-  /// are expected to be behind; a recovering one is not serving yet, so
-  /// the graph has not converged until its rejoin lands.
+  /// and every up endpoint's observable state (per-unit state hashes, see
+  /// ReplicatedDoc::state_hash) equals the first up endpoint's. Crashed
+  /// endpoints are excluded — they are expected to be behind; a recovering
+  /// one is not serving yet, so the graph has not converged until its
+  /// rejoin lands.
   bool converged() const;
 
   /// Session handoff flush: synchronously drives `from`'s current state to
@@ -168,12 +169,12 @@ class ReplicationGraph {
   void set_telemetry(obs::Telemetry* telemetry);
 
   /// Attaches a lane scheduler (owned by the deployment). With more than
-  /// one lane, the embarrassingly-parallel parts of a round — the
-  /// per-endpoint record_local() harvest and the converged() digest
-  /// comparison — fan out across lanes (each endpoint on its seed-derived
-  /// lane) and rejoin at a barrier before any cross-endpoint step. Link
-  /// exchanges stay on the serial netsim event loop, so deliveries,
-  /// traffic stats, and telemetry bytes are identical at any lane count.
+  /// one lane, the embarrassingly-parallel part of a round — the
+  /// per-endpoint record_local() harvest — fans out across lanes (each
+  /// endpoint on its seed-derived lane) and rejoins at a barrier before any
+  /// cross-endpoint step. Link exchanges stay on the serial netsim event
+  /// loop, so deliveries, traffic stats, and telemetry bytes are identical
+  /// at any lane count.
   /// Pass nullptr (or a 1-lane scheduler) for the plain serial path.
   void set_lane_scheduler(LaneScheduler* scheduler) { scheduler_ = scheduler; }
   LaneScheduler* lane_scheduler() const { return scheduler_; }

@@ -101,9 +101,9 @@ TEST_P(CrdtPropertyTest, CrdtJsonThreeReplicasConvergeViaStar) {
   for (CrdtJson* edge : {&e0, &e1}) {
     edge->applyChanges(cloud.getChanges(edge->version()));
   }
-  EXPECT_TRUE(e0.converged_with(cloud));
-  EXPECT_TRUE(e1.converged_with(cloud));
-  EXPECT_TRUE(e0.converged_with(e1));
+  EXPECT_EQ(e0.state_digest(), cloud.state_digest());
+  EXPECT_EQ(e1.state_digest(), cloud.state_digest());
+  EXPECT_EQ(e0.state_digest(), e1.state_digest());
 }
 
 // ---- CrdtTable: convergence with random SQL workloads ----------------------
@@ -154,8 +154,8 @@ TEST_P(CrdtPropertyTest, CrdtTableReplicasConvergeUnderRandomWorkload) {
   for (CrdtTable* edge : {&e0, &e1}) cloud.applyChanges(edge->getChanges(cloud.version()));
   for (CrdtTable* edge : {&e0, &e1}) edge->applyChanges(cloud.getChanges(edge->version()));
 
-  EXPECT_TRUE(e0.converged_with(cloud));
-  EXPECT_TRUE(e1.converged_with(cloud));
+  EXPECT_EQ(e0.state_digest(), cloud.state_digest());
+  EXPECT_EQ(e1.state_digest(), cloud.state_digest());
   // Materialized databases agree on live content.
   EXPECT_EQ(d_e0.execute("SELECT * FROM t").rows.size(),
             d_cloud.execute("SELECT * FROM t").rows.size());
@@ -184,6 +184,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, CrdtPropertyTest,
 #include <utility>
 
 #include "crdt/files.h"
+#include "json/parse.h"
 
 namespace edgstr::crdt {
 namespace {
@@ -345,6 +346,275 @@ TEST_P(ReplicatedDocPropertyTest, CrdtFilesHoldsUniformProperties) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ReplicatedDocPropertyTest,
+                         ::testing::Values(1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144, 233));
+
+// ---- state_hash(): the incremental convergence word tracks the oracle ------
+//
+// Every doc keeps state_hash() current in O(changed entries), and the
+// replication plane compares those words instead of state_digest()
+// strings. These cases drive each type through seeded random steps — local
+// writes and deletes, remote apply, all-pairs flushes, compaction, crash
+// re-initialization, snapshot install and bootstrap restore — and after
+// every step check each replica's hash against (a) a fresh replica rebuilt
+// with restore_bootstrap(bootstrap_state()) and (b) a recompute from its
+// state_digest(); and that hash equality between any two replicas holds
+// exactly when their digests are equal.
+
+/// Sum of entry_hash over the digest's (key, value) pairs: the hash
+/// recomputed from the oracle alone. Files hash raw contents; the LWW docs
+/// hash each value's JSON form.
+std::uint64_t hash_of_digest(const std::string& digest, bool raw_strings) {
+  const json::Value view = json::parse(digest);
+  std::uint64_t sum = 0;
+  for (const auto& [key, value] : view.as_object()) {
+    sum += entry_hash(key, raw_strings ? value.as_string() : value.dump());
+  }
+  return sum;
+}
+
+struct HashedReplica {
+  ReplicatedDoc* doc = nullptr;
+  std::function<void(util::Rng&)> mutate;       ///< one local write or delete
+  std::function<void()> reinitialize;           ///< crash: reborn from the checkpoint
+  std::function<std::uint64_t()> rebuilt_hash;  ///< fresh replica + restore_bootstrap
+};
+
+/// Returns how many replica pairs currently hold equal digests, so the
+/// driver can check that the "equal" side of the relation was exercised.
+std::size_t expect_hashes_track_digests(const std::vector<HashedReplica>& reps,
+                                        bool raw_strings, const std::string& where) {
+  std::vector<std::uint64_t> hashes;
+  std::vector<std::string> digests;
+  for (std::size_t i = 0; i < reps.size(); ++i) {
+    hashes.push_back(reps[i].doc->state_hash());
+    digests.push_back(reps[i].doc->state_digest());
+    EXPECT_EQ(hashes[i], reps[i].rebuilt_hash()) << where << ": replica " << i << " vs rebuilt";
+    EXPECT_EQ(hashes[i], hash_of_digest(digests[i], raw_strings))
+        << where << ": replica " << i << " vs digest";
+  }
+  std::size_t equal_pairs = 0;
+  for (std::size_t i = 0; i < reps.size(); ++i) {
+    for (std::size_t j = i + 1; j < reps.size(); ++j) {
+      EXPECT_EQ(hashes[i] == hashes[j], digests[i] == digests[j])
+          << where << ": replicas " << i << "," << j;
+      if (digests[i] == digests[j]) ++equal_pairs;
+    }
+  }
+  return equal_pairs;
+}
+
+void drive_state_hash(std::vector<HashedReplica>& reps, bool raw_strings, std::uint64_t seed) {
+  util::Rng rng(seed);
+  const std::size_t n = reps.size();
+  std::vector<int> lives(n, 0);
+  std::size_t equal_pairs = 0;
+  const auto reborn = [&](std::size_t i) {
+    reps[i].reinitialize();
+    // A reborn replica mints under a fresh origin (see set_origin).
+    reps[i].doc->set_origin("r" + std::to_string(i) + "~" + std::to_string(++lives[i]));
+  };
+  const auto deliver = [&](std::size_t from, std::size_t to) {
+    if (reps[from].doc->can_serve(reps[to].doc->version())) {
+      reps[to].doc->apply(reps[from].doc->changes_since(reps[to].doc->version()));
+    }
+  };
+  for (int step = 0; step < 60; ++step) {
+    const std::size_t a = std::size_t(rng.uniform_int(0, std::int64_t(n) - 1));
+    const std::size_t b = (a + std::size_t(rng.uniform_int(1, std::int64_t(n) - 1))) % n;
+    const double roll = rng.next_double();
+    std::string what;
+    if (roll < 0.40) {
+      what = "local";
+      reps[a].mutate(rng);
+      reps[a].doc->record_local();
+    } else if (roll < 0.62) {
+      what = "apply";
+      deliver(b, a);
+    } else if (roll < 0.74) {
+      what = "flush";
+      for (int pass = 0; pass < 2; ++pass) {
+        for (std::size_t from = 0; from < n; ++from) {
+          for (std::size_t to = 0; to < n; ++to) {
+            if (from != to) deliver(from, to);
+          }
+        }
+      }
+    } else if (roll < 0.82) {
+      what = "compact";
+      VersionVector acked = reps[0].doc->version();
+      for (std::size_t i = 1; i < n; ++i) acked = version_min(acked, reps[i].doc->version());
+      for (HashedReplica& r : reps) r.doc->compact(acked);
+    } else if (roll < 0.89) {
+      what = "snapshot";
+      const Snapshot snap = reps[b].doc->cut_snapshot();
+      reborn(a);
+      reps[a].doc->install_snapshot(snap);
+    } else if (roll < 0.96) {
+      what = "bootstrap";
+      const json::Value state = reps[b].doc->bootstrap_state();
+      reborn(a);
+      reps[a].doc->restore_bootstrap(state);
+    } else {
+      what = "reinit";
+      reborn(a);
+    }
+    const std::size_t equal = expect_hashes_track_digests(
+        reps, raw_strings,
+        "seed " + std::to_string(seed) + " step " + std::to_string(step) + " (" + what + ")");
+    if (what == "flush") equal_pairs += equal;
+  }
+  // Replicas that reached equal state through different histories.
+  EXPECT_GT(equal_pairs, 0u) << "seed " << seed << ": no flush left two replicas equal";
+}
+
+class StateHashPropertyTest : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(StateHashPropertyTest, LwwMapHashTracksDigest) {
+  util::Rng rng(GetParam());
+  std::vector<LwwMap> maps(3);
+  for (int step = 0; step < 80; ++step) {
+    const std::size_t a = std::size_t(rng.uniform_int(0, 2));
+    const std::string key = "k" + std::to_string(rng.uniform_int(0, 5));
+    const Stamp stamp{std::uint64_t(rng.uniform_int(1, 40)), "m" + std::to_string(a)};
+    const double roll = rng.next_double();
+    if (roll < 0.45) {
+      const json::Value value =
+          rng.chance(0.5) ? json::Value(double(rng.uniform_int(0, 9)))
+                          : json::Value::object({{"s", rng.token(3)}, {"n", 1.0}});
+      maps[a].put(key, value, stamp);
+    } else if (roll < 0.65) {
+      maps[a].remove(key, stamp);
+    } else if (roll < 0.92) {
+      maps[a].merge(maps[(a + 1 + std::size_t(rng.uniform_int(0, 1))) % 3]);
+    } else {
+      maps[a] = LwwMap::from_json(maps[a].to_json());
+    }
+    for (std::size_t i = 0; i < maps.size(); ++i) {
+      EXPECT_EQ(maps[i].state_hash(), LwwMap::from_json(maps[i].to_json()).state_hash())
+          << "seed " << GetParam() << " step " << step;
+      EXPECT_EQ(maps[i].state_hash(), hash_of_digest(maps[i].digest(), false))
+          << "seed " << GetParam() << " step " << step;
+      EXPECT_EQ(maps[i].live_size(), maps[i].keys().size())
+          << "seed " << GetParam() << " step " << step;
+      for (std::size_t j = i + 1; j < maps.size(); ++j) {
+        EXPECT_EQ(maps[i].state_hash() == maps[j].state_hash(),
+                  maps[i].digest() == maps[j].digest())
+            << "seed " << GetParam() << " step " << step;
+      }
+    }
+  }
+}
+
+TEST_P(StateHashPropertyTest, CrdtJsonHashTracksDigest) {
+  const json::Value base = json::Value::object({{"v", 0.0}, {"w", "init"}});
+  CrdtJson docs[3] = {CrdtJson("r0"), CrdtJson("r1"), CrdtJson("r2")};
+  std::vector<HashedReplica> reps;
+  for (CrdtJson& d : docs) {
+    d.initialize(base);
+    reps.push_back({&d,
+                    [&d](util::Rng& rng) {
+                      const std::string key = "k" + std::to_string(rng.uniform_int(0, 4));
+                      if (rng.chance(0.25)) {
+                        d.remove(key);
+                      } else {
+                        d.set(key, json::Value(double(rng.uniform_int(0, 99))));
+                      }
+                    },
+                    [&d, &base] { d.initialize(base); },
+                    [&d, &base] {
+                      CrdtJson fresh("rebuilt");
+                      fresh.initialize(base);
+                      fresh.restore_bootstrap(d.bootstrap_state());
+                      return fresh.state_hash();
+                    }});
+  }
+  drive_state_hash(reps, false, GetParam());
+}
+
+TEST_P(StateHashPropertyTest, CrdtTableHashTracksDigest) {
+  sqldb::Database seed;
+  seed.execute("CREATE TABLE t (k, v)");
+  seed.execute("INSERT INTO t (k, v) VALUES ('seed', 0)");
+  const json::Value snap = seed.snapshot();
+  sqldb::Database dbs[3];
+  CrdtTable tables[3] = {CrdtTable("r0", &dbs[0]), CrdtTable("r1", &dbs[1]),
+                         CrdtTable("r2", &dbs[2])};
+  std::vector<HashedReplica> reps;
+  for (std::size_t i = 0; i < 3; ++i) {
+    sqldb::Database* db = &dbs[i];
+    CrdtTable* table = &tables[i];
+    table->initialize(snap);
+    reps.push_back({table,
+                    [db](util::Rng& rng) {
+                      const double roll = rng.next_double();
+                      if (roll < 0.55) {
+                        db->execute("INSERT INTO t (k, v) VALUES (?, ?)",
+                                    {sqldb::SqlValue("k" + std::to_string(rng.uniform_int(0, 30))),
+                                     sqldb::SqlValue(rng.uniform_int(0, 9))});
+                      } else if (roll < 0.8) {
+                        db->execute("UPDATE t SET v = ? WHERE k = 'seed'",
+                                    {sqldb::SqlValue(rng.uniform_int(10, 99))});
+                      } else {
+                        db->execute("DELETE FROM t WHERE v = ?",
+                                    {sqldb::SqlValue(rng.uniform_int(0, 9))});
+                      }
+                    },
+                    [table, &snap] { table->initialize(snap); },
+                    [table, &snap] {
+                      sqldb::Database db;
+                      CrdtTable fresh("rebuilt", &db);
+                      fresh.initialize(snap);
+                      fresh.restore_bootstrap(table->bootstrap_state());
+                      return fresh.state_hash();
+                    }});
+  }
+  drive_state_hash(reps, false, GetParam());
+}
+
+TEST_P(StateHashPropertyTest, CrdtFilesHashTracksDigest) {
+  vfs::Vfs seed;
+  seed.write("data/readme.txt", "init");
+  seed.write("data/events.log", "t0\n");
+  const json::Value snap = seed.snapshot();
+  vfs::Vfs trees[3];
+  CrdtFiles files[3] = {CrdtFiles("r0", &trees[0]), CrdtFiles("r1", &trees[1]),
+                        CrdtFiles("r2", &trees[2])};
+  std::vector<HashedReplica> reps;
+  for (std::size_t i = 0; i < 3; ++i) {
+    vfs::Vfs* fs = &trees[i];
+    CrdtFiles* doc = &files[i];
+    doc->initialize(snap);
+    reps.push_back({doc,
+                    [fs](util::Rng& rng) {
+                      const double roll = rng.next_double();
+                      if (roll < 0.3) {
+                        fs->write("data/f" + std::to_string(rng.uniform_int(0, 3)) + ".txt",
+                                  rng.token(6));
+                      } else if (roll < 0.65) {
+                        // Append-merge path: harvested as an append op.
+                        fs->append("data/events.log", rng.token(4) + "\n");
+                      } else if (roll < 0.8) {
+                        // Rewrite of the log: a put that supersedes its tail.
+                        fs->write("data/events.log", rng.token(5) + "\n");
+                      } else if (roll < 0.95) {
+                        fs->remove("data/f" + std::to_string(rng.uniform_int(0, 3)) + ".txt");
+                      } else {
+                        fs->remove("data/events.log");
+                      }
+                    },
+                    [doc, &snap] { doc->initialize(snap); },
+                    [doc, &snap] {
+                      vfs::Vfs fs;
+                      CrdtFiles fresh("rebuilt", &fs);
+                      fresh.initialize(snap);
+                      fresh.restore_bootstrap(doc->bootstrap_state());
+                      return fresh.state_hash();
+                    }});
+  }
+  drive_state_hash(reps, true, GetParam());
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, StateHashPropertyTest,
                          ::testing::Values(1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144, 233));
 
 }  // namespace

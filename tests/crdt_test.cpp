@@ -113,7 +113,7 @@ TEST(CrdtJsonTest, TwoReplicasConverge) {
   b.set("y", json::Value(20));
   b.applyChanges(a.getChanges(b.version()));
   a.applyChanges(b.getChanges(a.version()));
-  EXPECT_TRUE(a.converged_with(b));
+  EXPECT_EQ(a.state_digest(), b.state_digest());
   EXPECT_EQ(*a.get("x"), json::Value(10));
   EXPECT_EQ(*a.get("y"), json::Value(20));
 }
@@ -126,7 +126,7 @@ TEST(CrdtJsonTest, ConcurrentWritesResolveDeterministically) {
   b.set("k", json::Value("from-b"));
   b.applyChanges(a.getChanges(b.version()));
   a.applyChanges(b.getChanges(a.version()));
-  EXPECT_TRUE(a.converged_with(b));  // same winner on both sides
+  EXPECT_EQ(a.state_digest(), b.state_digest());  // same winner on both sides
 }
 
 TEST(CrdtJsonTest, SyncFromDiffsState) {
@@ -183,7 +183,7 @@ TEST_F(CrdtTableFixture, LocalInsertPropagates) {
   EXPECT_EQ(a.record_local_mutations(), 1u);
   c.applyChanges(a.getChanges(c.version()));
   EXPECT_EQ(dc.execute("SELECT v FROM t WHERE k = 'new'").rows[0][0].as_int(), 42);
-  EXPECT_TRUE(a.converged_with(c));
+  EXPECT_EQ(a.state_digest(), c.state_digest());
 }
 
 TEST_F(CrdtTableFixture, ConcurrentInsertsBothSurvive) {
@@ -207,9 +207,9 @@ TEST_F(CrdtTableFixture, ConcurrentInsertsBothSurvive) {
   for (sqldb::Database* d : {&da, &db_, &dc}) {
     EXPECT_EQ(d->execute("SELECT * FROM t").rows.size(), 3u);  // base + 2
   }
-  EXPECT_TRUE(a.converged_with(c));
-  EXPECT_TRUE(b.converged_with(c));
-  EXPECT_TRUE(a.converged_with(b));
+  EXPECT_EQ(a.state_digest(), c.state_digest());
+  EXPECT_EQ(b.state_digest(), c.state_digest());
+  EXPECT_EQ(a.state_digest(), b.state_digest());
 }
 
 TEST_F(CrdtTableFixture, ConcurrentUpdateSameRowLwwResolves) {
@@ -225,7 +225,7 @@ TEST_F(CrdtTableFixture, ConcurrentUpdateSameRowLwwResolves) {
   b.applyChanges(a.getChanges(b.version()));
   a.applyChanges(b.getChanges(a.version()));
 
-  EXPECT_TRUE(a.converged_with(b));
+  EXPECT_EQ(a.state_digest(), b.state_digest());
   const auto va = da.execute("SELECT v FROM t WHERE k = 'base'").rows[0][0].as_int();
   const auto vb = db_.execute("SELECT v FROM t WHERE k = 'base'").rows[0][0].as_int();
   EXPECT_EQ(va, vb);
@@ -241,7 +241,7 @@ TEST_F(CrdtTableFixture, DeletePropagates) {
   a.record_local_mutations();
   c.applyChanges(a.getChanges(c.version()));
   EXPECT_TRUE(dc.execute("SELECT * FROM t").rows.empty());
-  EXPECT_TRUE(a.converged_with(c));
+  EXPECT_EQ(a.state_digest(), c.state_digest());
 }
 
 TEST_F(CrdtTableFixture, AttachExistingKeysLiveState) {
@@ -274,7 +274,7 @@ TEST(CrdtFilesTest, WriteDetectionAndPropagation) {
   EXPECT_EQ(a.record_local_changes(), 1u);
   b.applyChanges(a.getChanges(b.version()));
   EXPECT_EQ(fb.read("data/log.txt"), "updated");
-  EXPECT_TRUE(a.converged_with(b));
+  EXPECT_EQ(a.state_digest(), b.state_digest());
 }
 
 TEST(CrdtFilesTest, RemovalPropagates) {
@@ -303,7 +303,7 @@ TEST(CrdtFilesTest, ConcurrentWritesConvergeToOneWinner) {
   b.record_local_changes();
   b.applyChanges(a.getChanges(b.version()));
   a.applyChanges(b.getChanges(a.version()));
-  EXPECT_TRUE(a.converged_with(b));
+  EXPECT_EQ(a.state_digest(), b.state_digest());
   EXPECT_EQ(fa.read("f"), fb.read("f"));
 }
 
@@ -335,7 +335,7 @@ TEST(CrdtFilesAppendTest, ConcurrentAppendsBothSurvive) {
   b.applyChanges(a.getChanges(b.version()));
   a.applyChanges(b.getChanges(a.version()));
 
-  EXPECT_TRUE(a.converged_with(b));
+  EXPECT_EQ(a.state_digest(), b.state_digest());
   const std::string merged = fa.read("notes.log");
   EXPECT_EQ(merged, fb.read("notes.log"));
   // Under whole-file LWW one of these would have been lost.
@@ -378,7 +378,7 @@ TEST(CrdtFilesAppendTest, RewriteSupersedesOlderAppends) {
   a.record_local_changes();
   b.applyChanges(a.getChanges(b.version()));
   a.applyChanges(b.getChanges(a.version()));
-  EXPECT_TRUE(a.converged_with(b));
+  EXPECT_EQ(a.state_digest(), b.state_digest());
   EXPECT_EQ(fb.read("roll.log"), "rotated;");
 }
 
@@ -395,7 +395,7 @@ TEST(CrdtFilesAppendTest, NonLogPathsKeepLww) {
   b.record_local_changes();
   b.applyChanges(a.getChanges(b.version()));
   a.applyChanges(b.getChanges(a.version()));
-  EXPECT_TRUE(a.converged_with(b));
+  EXPECT_EQ(a.state_digest(), b.state_digest());
   // .txt is whole-file LWW: exactly one writer wins, no merge.
   const std::string content = fa.read("data/state.txt");
   EXPECT_TRUE(content == "v0-a" || content == "v0-b");
@@ -416,7 +416,7 @@ TEST(CrdtFilesAppendTest, CustomSuffixConfiguration) {
   b.record_local_changes();
   b.applyChanges(a.getChanges(b.version()));
   a.applyChanges(b.getChanges(a.version()));
-  EXPECT_TRUE(a.converged_with(b));
+  EXPECT_EQ(a.state_digest(), b.state_digest());
   EXPECT_NE(fa.read("events.jsonl").find("{\"e\":1}"), std::string::npos);
   EXPECT_NE(fa.read("events.jsonl").find("{\"e\":2}"), std::string::npos);
 }

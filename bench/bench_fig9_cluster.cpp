@@ -8,20 +8,23 @@
 // into low-power mode (4 -> 1), saving energy (paper: 12.96%) at a slight
 // latency cost.
 //
-// Scaled: the sharded runtime at cluster sizes the direct-call graph
-// cannot touch — 2048 edges / 32 regional aggregators / 1 cloud, a
-// simulated population of 1M+ users, swept across worker-lane counts
-// {1, 2, 4, 8} (plus --lanes N when given). Throughput is *simulated*
-// ops/sec on the BSP lane-clock model (deterministic; wall time is
-// printed as an informational extra), and the converged cloud state is
-// asserted byte-identical across lane counts.
+// Scaled: the same edge -> regional -> cloud hierarchy the deployment
+// builds, at 64 edges / 8 regionals / 1 cloud, on ReplicationGraph with
+// real SyncLinks (scaled_hierarchy.h), swept across worker-lane counts
+// {1, 2, 4, 8} (plus --lanes N when given). Every replica is a full
+// replica, so memory and sync work grow with edges x rows; the size keeps
+// the sweep affordable. Throughput is client ops per *wall-clock* second
+// on the host running the bench, with process CPU seconds beside it. The
+// converged cloud state must be identical across lane counts and hold
+// every row; otherwise the bench exits 1.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <chrono>
+#include <ctime>
 
 #include "bench_common.h"
-#include "runtime/sharded_runtime.h"
-#include "sqldb/parser.h"
+#include "scaled_hierarchy.h"
 #include "util/stats.h"
 
 using namespace edgstr;
@@ -149,104 +152,58 @@ void run_fig9_right() {
   g_reg.set("fig9.elastic.final_active", double(active_elastic));
 }
 
-// ------------------------------------------------------- scaled sharding --
+// ------------------------------------------------------ scaled hierarchy --
 
-constexpr std::size_t kScaledEdges = 2048;
-constexpr std::size_t kScaledUsersPerEdge = 512;  // 1,048,576 users total
-constexpr std::size_t kScaledFanout = 64;         // edges per regional -> 32 regionals
+constexpr std::size_t kScaledEdges = 64;
+constexpr std::size_t kScaledFanout = 8;  // edges per regional -> 8 regionals
 constexpr std::size_t kScaledRounds = 8;
-constexpr std::size_t kScaledOpsPerEdgeRound = 8;  // 131,072 client ops total
+constexpr std::size_t kScaledOpsPerEdgeRound = 8;  // 4,096 client inserts total
 
-/// Minimal replica service: one replicated table taking user writes. The
-/// scaled bench stands up thousands of these, so the source is a single
-/// cheap DDL statement.
-constexpr const char* kScaledService = R"JS(
-db.query("CREATE TABLE events (user, v)");
-)JS";
+double process_cpu_s() {
+  timespec ts{};
+  clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
+  return double(ts.tv_sec) + double(ts.tv_nsec) * 1e-9;
+}
 
 struct ScaledOutcome {
-  double sim_s = 0;
   double wall_s = 0;
-  double ops_per_sec = 0;  ///< client ops / simulated seconds
+  double cpu_s = 0;  ///< process CPU: the driver plus every lane thread
+  double ops_per_sec = 0;  ///< client ops / wall seconds, sync included
   std::string cloud_digest;
   std::size_t cloud_rows = 0;
-  std::size_t messages = 0;
-  double barrier_skew_s = 0;
+  std::uint64_t sync_bytes = 0;
+  std::uint64_t sync_messages = 0;
+  int converge_rounds = -1;
 };
 
 ScaledOutcome run_scaled(std::size_t lanes) {
-  runtime::ShardedConfig config;
-  config.lanes = lanes;
-  config.seed = 1;
-  const sqldb::Statement insert =
-      sqldb::parse_sql("INSERT INTO events (user, v) VALUES (?, ?)");
-  runtime::ShardedRuntime rt(config,
-                             [&insert](runtime::ReplicaState& replica,
-                                       const runtime::ClientOp& op) {
-                               replica.service().database().execute(
-                                   insert, {sqldb::SqlValue(double(op.user)),
-                                            sqldb::SqlValue(op.value)});
-                             });
-
-  // Topology: edge -> regional -> cloud, upward push only (aggregation).
-  std::vector<std::unique_ptr<runtime::ServiceRuntime>> services;
-  services.reserve(kScaledEdges + kScaledEdges / kScaledFanout + 1);
-  auto add = [&](const std::string& id) -> runtime::ReplicaState& {
-    services.push_back(std::make_unique<runtime::ServiceRuntime>(kScaledService));
-    auto state = std::make_shared<runtime::ReplicaState>(
-        id, services.back().get(), std::set<std::string>{}, std::set<std::string>{});
-    state->attach_existing();
-    return rt.add_replica(std::move(state));
-  };
-  add("cloud");
-  const std::size_t regionals = (kScaledEdges + kScaledFanout - 1) / kScaledFanout;
-  for (std::size_t r = 0; r < regionals; ++r) {
-    add("regional" + std::to_string(r));
-    rt.add_uplink("regional" + std::to_string(r), "cloud");
-  }
-  std::vector<std::string> edge_ids(kScaledEdges);
-  for (std::size_t e = 0; e < kScaledEdges; ++e) {
-    edge_ids[e] = "edge" + std::to_string(e);
-    add(edge_ids[e]);
-    rt.add_uplink(edge_ids[e], "regional" + std::to_string(e / kScaledFanout));
-  }
-
+  ScaledHierarchy world(kScaledEdges, kScaledFanout, lanes);
   const auto wall_start = std::chrono::steady_clock::now();
-  for (std::size_t round = 0; round < kScaledRounds; ++round) {
-    for (std::size_t e = 0; e < kScaledEdges; ++e) {
-      std::vector<runtime::ClientOp> batch(kScaledOpsPerEdgeRound);
-      for (std::size_t j = 0; j < kScaledOpsPerEdgeRound; ++j) {
-        // Deterministic stride walk over the edge's user slice, so the op
-        // stream samples the whole 1M-user population across rounds.
-        const std::size_t user_index =
-            ((round * kScaledOpsPerEdgeRound + j) * 61) % kScaledUsersPerEdge;
-        batch[j].user = e * kScaledUsersPerEdge + user_index;
-        batch[j].value = double(round * 1000 + j);
-      }
-      rt.post_client_ops(edge_ids[e], std::move(batch));
-    }
-    rt.run_round();
-  }
-  const auto wall_end = std::chrono::steady_clock::now();
-
+  const double cpu_start = process_cpu_s();
+  world.drive(kScaledRounds, kScaledOpsPerEdgeRound);
   ScaledOutcome out;
-  out.sim_s = rt.sim_now();
-  out.wall_s = std::chrono::duration<double>(wall_end - wall_start).count();
-  out.ops_per_sec = double(rt.client_ops_processed()) / out.sim_s;
-  out.cloud_digest = rt.replica("cloud").state_digest();
-  out.cloud_rows = rt.replica("cloud").tables().live_rows();
-  util::MetricsRegistry reg;
-  rt.export_metrics(reg);
-  out.messages = std::size_t(reg.value("runtime.sharded.messages"));
-  out.barrier_skew_s = reg.value("runtime.lanes.barrier_skew_s");
+  out.converge_rounds = world.rounds_to_converge();
+  out.cpu_s = process_cpu_s() - cpu_start;
+  out.wall_s =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - wall_start).count();
+  out.ops_per_sec = double(world.client_ops()) / out.wall_s;
+  out.cloud_digest = world.cloud().state_digest();
+  out.cloud_rows = world.cloud().tables().live_rows();
+  out.sync_bytes = world.graph().total_sync_bytes();
+  out.sync_messages = world.graph().sync_messages();
   return out;
 }
 
-void run_fig9_scaled(std::size_t requested_lanes) {
-  std::printf("\n=== Figure 9 (scaled): sharded runtime, %zu edges / %zu users ===\n\n",
-              kScaledEdges, kScaledEdges * kScaledUsersPerEdge);
-  std::printf("%8s %14s %12s %10s %12s %12s\n", "lanes", "sim ops/s", "sim s", "speedup",
-              "wall s", "skew s");
+/// Returns false when the cloud state diverged across lane counts or lost
+/// rows.
+bool run_fig9_scaled(std::size_t requested_lanes) {
+  std::printf("\n=== Figure 9 (scaled): replication graph, %zu edges / %zu regionals / "
+              "%zu users ===\n\n",
+              kScaledEdges, kScaledEdges / kScaledFanout,
+              kScaledEdges * ScaledHierarchy::kUsersPerEdge);
+  std::printf("  measured on this host: wall-clock ops/s, process CPU seconds\n\n");
+  std::printf("%8s %12s %10s %10s %10s %12s %10s\n", "lanes", "ops/s", "wall s", "cpu s",
+              "speedup", "sync bytes", "rounds");
   print_rule();
 
   std::vector<std::size_t> sweep = {1, 2, 4, 8};
@@ -254,35 +211,35 @@ void run_fig9_scaled(std::size_t requested_lanes) {
     sweep.push_back(requested_lanes);
   }
   const std::size_t expected_rows = kScaledEdges * kScaledRounds * kScaledOpsPerEdgeRound;
-  double serial_ops_per_sec = 0;
-  std::string reference_digest;
-  bool deterministic = true;
+  ScaledOutcome reference;  // lanes = 1, the first sweep entry
+  bool consistent = true;
   for (const std::size_t lanes : sweep) {
     const ScaledOutcome out = run_scaled(lanes);
-    if (lanes == 1) serial_ops_per_sec = out.ops_per_sec;
-    if (reference_digest.empty()) {
-      reference_digest = out.cloud_digest;
-    } else if (out.cloud_digest != reference_digest) {
-      deterministic = false;
-    }
-    if (out.cloud_rows != expected_rows) deterministic = false;
-    const double speedup = serial_ops_per_sec > 0 ? out.ops_per_sec / serial_ops_per_sec : 0;
-    std::printf("%8zu %14.0f %12.4f %9.2fx %12.2f %12.4f\n", lanes, out.ops_per_sec, out.sim_s,
-                speedup, out.wall_s, out.barrier_skew_s);
+    if (lanes == sweep.front()) reference = out;
+    consistent = consistent && out.cloud_digest == reference.cloud_digest &&
+                 out.sync_bytes == reference.sync_bytes &&
+                 out.converge_rounds == reference.converge_rounds &&
+                 out.converge_rounds >= 0 && out.cloud_rows == expected_rows;
+    const double speedup = out.ops_per_sec / reference.ops_per_sec;
+    std::printf("%8zu %12.0f %10.3f %10.3f %9.2fx %12llu %10d\n", lanes, out.ops_per_sec,
+                out.wall_s, out.cpu_s, speedup, (unsigned long long)out.sync_bytes,
+                out.converge_rounds);
     const std::string prefix = "fig9.scaled.lanes" + std::to_string(lanes);
-    g_reg.set(prefix + ".ops_per_sec", out.ops_per_sec);
-    g_reg.set(prefix + ".sim_s", out.sim_s);
+    g_reg.set(prefix + ".wall_ops_per_sec", out.ops_per_sec);
+    g_reg.set(prefix + ".wall_s", out.wall_s);
+    g_reg.set(prefix + ".cpu_s", out.cpu_s);
     g_reg.set(prefix + ".speedup", speedup);
-    g_reg.set(prefix + ".messages", double(out.messages));
   }
-  // Headline keys for the regression gate: the lanes=1 numbers are the
-  // deterministic baseline the ±15% gate tracks.
   g_reg.set("fig9.scaled.edges", double(kScaledEdges));
-  g_reg.set("fig9.scaled.users", double(kScaledEdges * kScaledUsersPerEdge));
-  g_reg.set("fig9.scaled.ops_per_sec", serial_ops_per_sec);
-  g_reg.set("fig9.scaled.deterministic", deterministic ? 1.0 : 0.0);
-  std::printf("\n  converged cloud state %s across lane counts (%zu rows)\n",
-              deterministic ? "IDENTICAL" : "DIVERGED — BUG", expected_rows);
+  g_reg.set("fig9.scaled.users", double(kScaledEdges * ScaledHierarchy::kUsersPerEdge));
+  g_reg.set("fig9.scaled.rows", double(expected_rows));
+  g_reg.set("fig9.scaled.sync_bytes", double(reference.sync_bytes));
+  g_reg.set("fig9.scaled.sync_messages", double(reference.sync_messages));
+  g_reg.set("fig9.scaled.converge_rounds", double(reference.converge_rounds));
+  g_reg.set("fig9.scaled.deterministic", consistent ? 1.0 : 0.0);
+  std::printf("\n  converged cloud state %s across lane counts (%zu rows expected)\n",
+              consistent ? "IDENTICAL" : "DIVERGED", expected_rows);
+  return consistent;
 }
 
 void BM_GatewayRequest(benchmark::State& state) {
@@ -305,8 +262,12 @@ int main(int argc, char** argv) {
   const std::size_t lanes = parse_lanes_arg(&argc, argv);
   run_fig9_left();
   run_fig9_right();
-  run_fig9_scaled(lanes);
+  const bool consistent = run_fig9_scaled(lanes);
   dump_metrics_json(g_reg, "fig9_cluster");
+  if (!consistent) {
+    std::fprintf(stderr, "fig9 scaled: cloud state diverged across lane counts or lost rows\n");
+    return 1;
+  }
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
   return 0;

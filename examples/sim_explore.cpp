@@ -45,8 +45,8 @@
 // offset on every crash. --durability-fault plants the deliberate
 // regression (the disk lies about fsync) the invariant exists to catch.
 //
-// --lanes L (default 1) runs the deployment's sharded runtime with L
-// worker lanes. Traces, state digests, and time-series exports are
+// --lanes L (default 1) fans the replication graph's per-round harvest out
+// over L worker lanes. Traces, state digests, and time-series exports are
 // lane-count-invariant, so a sweep at --lanes 4 checks the exact same
 // invariants as the serial sweep — plus the thread-safety of the parallel
 // sections under TSan.
@@ -61,6 +61,7 @@
 
 #include "obs/export.h"
 #include "sim/schedule.h"
+#include "util/strings.h"
 
 namespace {
 
@@ -77,24 +78,10 @@ int usage() {
   return 2;
 }
 
-bool parse_u64(const std::string& text, std::uint64_t* out) {
-  // std::stoull skips leading whitespace and wraps a leading '-' to a huge
-  // value ("-1" -> 2^64-1), so only a bare digit string is accepted.
-  if (text.empty() || text[0] < '0' || text[0] > '9') return false;
-  try {
-    size_t pos = 0;
-    const unsigned long long v = std::stoull(text, &pos);
-    if (pos != text.size()) return false;
-    *out = v;
-    return true;
-  } catch (const std::exception&) {
-    return false;
-  }
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
+  using edgstr::util::parse_u64;
   const std::vector<std::string> args(argv + 1, argv + argc);
 
   bool sweep = false;

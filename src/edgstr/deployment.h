@@ -46,10 +46,9 @@ struct DeploymentConfig {
   std::uint64_t seed = 42;
   SyncTopology topology = SyncTopology::kStar;
   std::size_t hierarchy_fanout = 2;  ///< edges per regional (kHierarchy)
-  /// Worker lanes for the sharded runtime. 1 (default) is the plain serial
-  /// path — no scheduler is even constructed, so single-lane deployments
-  /// are byte-identical to pre-sharding builds. With more lanes the
-  /// replication graph fans its per-endpoint work out across them (see
+  /// Worker lanes for the replication graph. 1 (default) is the plain
+  /// serial path — no scheduler is even constructed. With more lanes the
+  /// graph fans its per-endpoint harvest out across them (see
   /// ReplicationGraph::set_lane_scheduler) and the metrics snapshot gains
   /// the `runtime.lanes.*` occupancy series.
   std::size_t lanes = 1;

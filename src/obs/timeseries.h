@@ -10,11 +10,8 @@
 //
 // Determinism: windows are keyed by the netsim clock and stored in sorted
 // maps, so same-seed runs export byte-identical series. Recording happens
-// on the driver thread only; lane-parallel producers (ShardedRuntime)
-// record into per-lane scratch series and fold them into the sink in the
-// scheduler's seed-derived merge order via merge() — the same discipline
-// MetricsRegistry::merge uses — keeping float accumulation, and therefore
-// exported bytes, lane-count-invariant.
+// on the driver thread only — the lanes run nothing but the replication
+// graph's per-endpoint harvest — so exported bytes are lane-count-invariant.
 #pragma once
 
 #include <cstdint>
@@ -74,8 +71,8 @@ class TimeSeries {
   /// Folds another series into this one (window widths must match):
   /// counters add, gauges overwrite where the other recorded, histograms
   /// merge bucket-wise (copied when absent here). Mirrors
-  /// MetricsRegistry::merge — fold per-lane scratch in the scheduler's
-  /// merge order to keep accumulation deterministic.
+  /// MetricsRegistry::merge — fold in a fixed order to keep accumulation
+  /// deterministic.
   void merge(const TimeSeries& other);
 
   // Sorted storage, exposed for the exporters.

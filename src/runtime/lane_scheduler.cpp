@@ -1,42 +1,15 @@
 #include "runtime/lane_scheduler.h"
 
-#include <algorithm>
 #include <string>
 
 #include "util/strings.h"
 
 namespace edgstr::runtime {
 
-namespace {
-
-/// SplitMix64 step — mixes the seed into the assignment salt and the
-/// merge-order permutation without depending on util::Rng's stream (which
-/// schedules consume for their own draws).
-std::uint64_t splitmix64(std::uint64_t& state) {
-  std::uint64_t z = (state += 0x9e3779b97f4a7c15ULL);
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
-}
-
-}  // namespace
-
-LaneScheduler::LaneScheduler(std::size_t lanes, std::uint64_t seed, std::size_t queue_capacity)
+LaneScheduler::LaneScheduler(std::size_t lanes, std::uint64_t seed)
     : lane_count_(lanes == 0 ? 1 : lanes), seed_(seed) {
   lanes_.reserve(lane_count_);
-  for (std::size_t i = 0; i < lane_count_; ++i) {
-    lanes_.push_back(std::make_unique<Lane>(queue_capacity));
-  }
-  // Seed-derived interleaving at barrier points: a Fisher-Yates shuffle of
-  // the lane indices. Every barrier merge walks lanes in this order, so
-  // two runs with the same seed fold cross-lane effects identically.
-  merge_order_.resize(lane_count_);
-  for (std::size_t i = 0; i < lane_count_; ++i) merge_order_[i] = i;
-  std::uint64_t state = seed_ ^ 0xa5a5a5a55a5a5a5aULL;
-  for (std::size_t i = lane_count_; i > 1; --i) {
-    const std::size_t j = static_cast<std::size_t>(splitmix64(state) % i);
-    std::swap(merge_order_[i - 1], merge_order_[j]);
-  }
+  for (std::size_t i = 0; i < lane_count_; ++i) lanes_.push_back(std::make_unique<Lane>());
   if (lane_count_ > 1) {
     for (auto& lane : lanes_) {
       lane->worker = std::thread([this, lane = lane.get()] { worker_loop(*lane); });
@@ -100,23 +73,12 @@ void LaneScheduler::worker_loop(Lane& lane) {
   }
 }
 
-void LaneScheduler::merge_scratch_into(util::MetricsRegistry& target) {
-  for (const std::size_t lane : merge_order_) {
-    target.merge(lanes_[lane]->scratch);
-    lanes_[lane]->scratch.reset();
-  }
-}
-
 void LaneScheduler::export_metrics(util::MetricsRegistry& out) const {
   out.set("runtime.lanes.count", double(lane_count_));
-  double max_busy = 0;
-  for (const auto& lane : lanes_) max_busy = std::max(max_busy, lane->busy_cost);
   for (std::size_t i = 0; i < lane_count_; ++i) {
     const std::string prefix = "runtime.lanes." + std::to_string(i);
     out.set(prefix + ".tasks", double(lanes_[i]->executed.load(std::memory_order_acquire)));
     out.set(prefix + ".queue_peak", double(lanes_[i]->tasks.high_water()));
-    out.set(prefix + ".busy_s", lanes_[i]->busy_cost);
-    out.set(prefix + ".utilization", max_busy > 0 ? lanes_[i]->busy_cost / max_busy : 0.0);
   }
 }
 

@@ -1,7 +1,8 @@
-// Deterministic worker-lane scheduler for the sharded runtime.
+// Deterministic worker-lane scheduler: the replication graph's harvest
+// fan-out.
 //
 // A LaneScheduler owns a fixed set of worker lanes (threads). Work is
-// partitioned by *key* — replica ids, in practice — with a seed-derived,
+// partitioned by *key* — endpoint ids, in practice — with a seed-derived,
 // run-constant lane assignment, so the same seed always shards the same
 // way. Each lane executes its tasks in submission order; lanes run
 // concurrently and synchronize only at barrier() points. That is the whole
@@ -11,17 +12,16 @@
 //      stealing, no racing for work.
 //   2. Within a lane, tasks run in the order one driver thread submitted
 //      them (each lane's task queue is a FIFO Mailbox).
-//   3. Lanes share no mutable state mid-phase: every task touches only its
-//      lane's replicas and its lane's scratch (metrics deltas, virtual
-//      clock). Cross-lane effects are collected *after* a barrier, in a
-//      seed-derived lane order, by the driver thread.
+//   3. Lanes share no mutable state mid-phase: every task touches only the
+//      endpoints keyed to its lane. Cross-endpoint work happens after a
+//      barrier, on the driver thread.
 //
 // Under those three rules the observable output of a run is a pure
-// function of (seed, lane count): real-time interleaving of the lane
-// threads can vary freely without changing a byte. With lanes == 1 the
-// scheduler degenerates to inline execution on the calling thread — no
-// threads are spawned and submit() runs the task immediately, which makes
-// the single-lane configuration *literally* the serial code path.
+// function of the seed: real-time interleaving of the lane threads can
+// vary freely without changing a byte. With lanes == 1 the scheduler
+// degenerates to inline execution on the calling thread — no threads are
+// spawned and submit() runs the task immediately, which makes the
+// single-lane configuration *literally* the serial code path.
 #pragma once
 
 #include <atomic>
@@ -41,18 +41,15 @@ namespace edgstr::runtime {
 
 class LaneScheduler {
  public:
-  /// Spawns `lanes - 1 >= 1 ? lanes : 0` worker threads (one per lane when
-  /// lanes > 1; none for the inline single-lane mode). `seed` salts the
-  /// lane-assignment hash and the barrier merge order.
-  explicit LaneScheduler(std::size_t lanes, std::uint64_t seed = 1,
-                         std::size_t queue_capacity = 4096);
+  /// Spawns one worker thread per lane when lanes > 1; none for the
+  /// inline single-lane mode. `seed` salts the lane-assignment hash.
+  explicit LaneScheduler(std::size_t lanes, std::uint64_t seed = 1);
   ~LaneScheduler();
 
   LaneScheduler(const LaneScheduler&) = delete;
   LaneScheduler& operator=(const LaneScheduler&) = delete;
 
   std::size_t lanes() const { return lane_count_; }
-  std::uint64_t seed() const { return seed_; }
 
   /// Fixed lane for a work key: hash(seed, key) % lanes. Stable for the
   /// lifetime of the scheduler (and across runs with the same seed).
@@ -65,34 +62,13 @@ class LaneScheduler {
 
   /// Blocks the calling (driver) thread until every submitted task has
   /// finished. Establishes happens-before with all lane-side writes, so
-  /// the driver may freely read lane scratch after it returns. No-op in
-  /// inline mode.
+  /// the driver may freely read what the tasks touched after it returns.
+  /// No-op in inline mode.
   void barrier();
 
-  /// Lane indices in the seed-derived order barrier-point merges must use.
-  /// A permutation of [0, lanes): deterministic per seed, fixed per run.
-  const std::vector<std::size_t>& merge_order() const { return merge_order_; }
-
-  /// Per-lane metrics scratch. Lane-side code records into its own lane's
-  /// registry during a phase; the driver folds them into a target registry
-  /// (in merge order, which keeps float accumulation byte-stable) after a
-  /// barrier. Only touch lane i's scratch from lane i's tasks or from the
-  /// driver between barriers.
-  util::MetricsRegistry& lane_scratch(std::size_t lane) { return lanes_[lane]->scratch; }
-
-  /// Folds every lane's scratch registry into `target` in merge order,
-  /// then clears the scratch. Driver-side, after a barrier.
-  void merge_scratch_into(util::MetricsRegistry& target);
-
   /// Exports lane occupancy under `runtime.lanes.*`: lane count, per-lane
-  /// executed-task counters, task-queue peaks, and (when the caller has
-  /// recorded per-lane busy cost via note_busy) utilization relative to
-  /// the busiest lane.
+  /// executed-task counters and task-queue peaks.
   void export_metrics(util::MetricsRegistry& out) const;
-
-  /// Accumulates simulated busy time for a lane (called from that lane's
-  /// tasks); feeds the utilization export.
-  void note_busy(std::size_t lane, double cost_s) { lanes_[lane]->busy_cost += cost_s; }
 
   /// Tasks executed so far on a lane (diagnostics / tests).
   std::uint64_t executed(std::size_t lane) const {
@@ -100,13 +76,13 @@ class LaneScheduler {
   }
 
  private:
+  /// Per-lane task-queue bound; a driver that outruns a lane yields.
+  static constexpr std::size_t kQueueCapacity = 4096;
+
   struct Lane {
-    explicit Lane(std::size_t capacity) : tasks(capacity) {}
-    Mailbox<std::function<void()>> tasks;
+    Mailbox<std::function<void()>> tasks{kQueueCapacity};
     std::thread worker;
     std::atomic<std::uint64_t> executed{0};
-    double busy_cost = 0;  ///< simulated seconds; lane-side writes only
-    util::MetricsRegistry scratch;
   };
 
   void worker_loop(Lane& lane);
@@ -114,7 +90,6 @@ class LaneScheduler {
   std::size_t lane_count_;
   std::uint64_t seed_;
   std::vector<std::unique_ptr<Lane>> lanes_;
-  std::vector<std::size_t> merge_order_;
 
   std::atomic<std::uint64_t> pending_{0};  ///< submitted, not yet finished
   std::mutex idle_mutex_;

@@ -1,24 +1,19 @@
-// Bounded FIFO mailbox — the message channel between the driver thread and
-// the worker lanes of the sharded runtime.
+// Bounded FIFO mailbox — the task queue between the driver thread and one
+// worker lane of a LaneScheduler.
 //
-// Every replica actor owns one as its inbox, and every lane worker drains
-// one as its task queue. The queue is bounded on purpose: a producer that
-// outruns its consumer *yields* (blocks on a condition variable) instead of
-// growing an unbounded backlog, which is the backpressure contract the
-// sharded runtime's determinism argument leans on — a full inbox stalls the
-// sender at a deterministic point in its submission sequence rather than
-// reordering or dropping.
+// The queue is bounded on purpose: a producer that outruns its consumer
+// *yields* (blocks on a condition variable) instead of growing an
+// unbounded backlog — a full queue stalls the sender at a deterministic
+// point in its submission sequence rather than reordering or dropping.
 //
 // Thread-safety: all operations are safe from any thread. FIFO order is
-// global across producers only in the single-producer configurations the
-// runtime uses (one driver thread, or one lane worker per inbox); with
-// multiple concurrent producers the interleaving is whatever the lock
-// grants, which is why cross-lane messages travel only at barrier points.
+// global across producers only in the single-producer configuration the
+// scheduler uses (one driver thread per queue); with multiple concurrent
+// producers the interleaving is whatever the lock grants.
 #pragma once
 
 #include <condition_variable>
 #include <cstddef>
-#include <cstdint>
 #include <deque>
 #include <mutex>
 #include <utility>
@@ -40,18 +35,8 @@ class Mailbox {
     std::unique_lock lock(mutex_);
     not_full_.wait(lock, [&] { return closed_ || queue_.size() < capacity_; });
     if (closed_) return false;
-    enqueue_locked(std::move(item));
-    not_empty_.notify_one();
-    return true;
-  }
-
-  /// Non-blocking enqueue; false when full or closed (item dropped).
-  bool try_push(T item) {
-    {
-      std::lock_guard lock(mutex_);
-      if (closed_ || queue_.size() >= capacity_) return false;
-      enqueue_locked(std::move(item));
-    }
+    queue_.push_back(std::move(item));
+    if (queue_.size() > high_water_) high_water_ = queue_.size();
     not_empty_.notify_one();
     return true;
   }
@@ -68,18 +53,6 @@ class Mailbox {
     return true;
   }
 
-  /// Non-blocking dequeue; false when currently empty.
-  bool try_pop(T* out) {
-    {
-      std::lock_guard lock(mutex_);
-      if (queue_.empty()) return false;
-      *out = std::move(queue_.front());
-      queue_.pop_front();
-    }
-    not_full_.notify_one();
-    return true;
-  }
-
   /// Closes the mailbox: pending items remain poppable, further pushes
   /// fail, and blocked producers/consumers wake.
   void close() {
@@ -91,32 +64,14 @@ class Mailbox {
     not_full_.notify_all();
   }
 
-  std::size_t size() const {
-    std::lock_guard lock(mutex_);
-    return queue_.size();
-  }
-  bool empty() const { return size() == 0; }
-  std::size_t capacity() const { return capacity_; }
-
   /// Deepest the queue has ever been — the lane-imbalance signal exported
   /// as `runtime.lanes.*.queue_peak`.
   std::size_t high_water() const {
     std::lock_guard lock(mutex_);
     return high_water_;
   }
-  /// Total items ever enqueued.
-  std::uint64_t pushed() const {
-    std::lock_guard lock(mutex_);
-    return pushed_;
-  }
 
  private:
-  void enqueue_locked(T item) {
-    queue_.push_back(std::move(item));
-    ++pushed_;
-    if (queue_.size() > high_water_) high_water_ = queue_.size();
-  }
-
   const std::size_t capacity_;
   mutable std::mutex mutex_;
   std::condition_variable not_empty_;
@@ -124,7 +79,6 @@ class Mailbox {
   std::deque<T> queue_;
   bool closed_ = false;
   std::size_t high_water_ = 0;
-  std::uint64_t pushed_ = 0;
 };
 
 }  // namespace edgstr::runtime

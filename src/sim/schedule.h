@@ -42,12 +42,12 @@ struct ScheduleConfig {
   /// the serialization work.
   bool capture_telemetry = false;
 
-  /// Worker lanes for the deployment's sharded runtime (default 1 = the
-  /// serial path, byte-identical to pre-sharding builds). The schedule,
-  /// trace, and state digest are lane-count-invariant — the parallelized
-  /// sections commute — so a sweep can assert identical digests across
-  /// lane counts. Note metrics_snapshot gains `runtime.lanes.*` keys when
-  /// lanes > 1 (occupancy is a property of the sharding, not the run).
+  /// Worker lanes for the replication graph's per-round harvest fan-out
+  /// (default 1 = the serial path: no scheduler is built). The schedule,
+  /// trace, and state digest are lane-count-invariant — the harvests
+  /// commute — so a sweep can assert identical digests across lane
+  /// counts. Note metrics_snapshot gains `runtime.lanes.*` keys when
+  /// lanes > 1 (occupancy is a property of the fan-out, not the run).
   std::size_t lanes = 1;
 
   /// Traffic shape on top of the base fault schedule. kUniform is the

@@ -109,9 +109,9 @@ class MetricsRegistry {
   void reset(const std::string& prefix = {});
 
   /// Folds another registry into this one: counters add, histograms merge
-  /// (a histogram absent here is copied, bounds and all). Merging the
-  /// per-lane scratch registries of a parallel phase in a fixed lane order
-  /// keeps float accumulation — and thus exported bytes — deterministic.
+  /// (a histogram absent here is copied, bounds and all). Folding several
+  /// registries in a fixed order keeps float accumulation — and thus
+  /// exported bytes — deterministic.
   void merge(const MetricsRegistry& other);
 
   /// "name value" lines for every counter under `prefix`, followed by one

@@ -2,6 +2,7 @@
 
 #include <array>
 #include <cctype>
+#include <charconv>
 #include <cstdio>
 
 namespace edgstr::util {
@@ -75,6 +76,17 @@ std::uint64_t fnv1a(std::string_view data) {
     hash *= 0x100000001b3ULL;
   }
   return hash;
+}
+
+bool parse_u64(std::string_view text, std::uint64_t* out) {
+  // from_chars on an unsigned type takes digits only: no sign, no spaces.
+  if (text.empty()) return false;
+  std::uint64_t value = 0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc() || ptr != end) return false;
+  *out = value;
+  return true;
 }
 
 std::string format_bytes(double bytes) {

@@ -32,6 +32,12 @@ std::string replace_all(std::string_view text, std::string_view from, std::strin
 /// 64-bit FNV-1a hash; used for content fingerprints in the VFS and CRDTs.
 std::uint64_t fnv1a(std::string_view data);
 
+/// Parses a bare unsigned decimal into `*out`. Rejects what strtoul and
+/// stoull quietly accept: a sign ("-1" would wrap to 2^64-1), leading or
+/// trailing whitespace or junk ("4x"), the empty string, and overflow.
+/// Leaves `*out` untouched on failure.
+bool parse_u64(std::string_view text, std::uint64_t* out);
+
 /// Human-readable byte count ("1.5 MB").
 std::string format_bytes(double bytes);
 

@@ -1,27 +1,23 @@
-// Sharded-runtime parallelism: mailbox backpressure, lane-scheduler
-// determinism, byte-identical same-seed runs, lane-count-invariant
-// converged state, and per-doc ordering under concurrent CRDT apply.
+// Lane parallelism: mailbox backpressure, lane-scheduler determinism, and
+// lane-count invariance of the replication graph — the fig9 scaled
+// hierarchy and whole simulated schedules.
 //
 // These tests are the executable form of the determinism argument in
-// src/runtime/sharded_runtime.h: same seed + same lane count must be
-// byte-identical; same seed + different lane count must converge to the
-// identical CRDT state. They are also the TSan targets for the parallel
-// sections (label: parallel).
+// src/runtime/lane_scheduler.h: the lanes only fan out each round's
+// per-endpoint harvest, so replicated state, sync traffic and rounds to
+// converge must be identical at any lane count. They are also the TSan
+// targets for the parallel sections (label: parallel).
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <optional>
-#include <set>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "runtime/lane_scheduler.h"
 #include "runtime/mailbox.h"
-#include "runtime/replication_graph.h"
-#include "runtime/sharded_runtime.h"
+#include "scaled_hierarchy.h"
 #include "sim/schedule.h"
-#include "sqldb/parser.h"
 #include "util/metrics.h"
 
 namespace edgstr {
@@ -31,26 +27,20 @@ namespace {
 
 TEST(MailboxTest, FifoWithBoundedCapacity) {
   runtime::Mailbox<int> box(3);
-  EXPECT_EQ(box.capacity(), 3u);
-  EXPECT_TRUE(box.try_push(1));
-  EXPECT_TRUE(box.try_push(2));
-  EXPECT_TRUE(box.try_push(3));
-  EXPECT_FALSE(box.try_push(4));  // full: non-blocking push refuses
-  EXPECT_EQ(box.size(), 3u);
+  EXPECT_TRUE(box.push(1));
+  EXPECT_TRUE(box.push(2));
+  EXPECT_TRUE(box.push(3));  // fills it; a fourth push would block
   EXPECT_EQ(box.high_water(), 3u);
 
   int v = 0;
-  EXPECT_TRUE(box.try_pop(&v));
+  EXPECT_TRUE(box.pop(&v));
   EXPECT_EQ(v, 1);  // FIFO
-  EXPECT_TRUE(box.try_push(4));
-  EXPECT_TRUE(box.try_pop(&v));
-  EXPECT_EQ(v, 2);
-  EXPECT_TRUE(box.try_pop(&v));
-  EXPECT_EQ(v, 3);
-  EXPECT_TRUE(box.try_pop(&v));
-  EXPECT_EQ(v, 4);
-  EXPECT_FALSE(box.try_pop(&v));
-  EXPECT_EQ(box.pushed(), 4u);
+  EXPECT_TRUE(box.push(4));
+  for (const int want : {2, 3, 4}) {
+    EXPECT_TRUE(box.pop(&v));
+    EXPECT_EQ(v, want);
+  }
+  EXPECT_EQ(box.high_water(), 3u);
 }
 
 // Backpressure contract: a producer that outruns the consumer blocks on
@@ -76,7 +66,6 @@ TEST(MailboxTest, BlockingPushYieldsUntilConsumerDrains) {
   ASSERT_EQ(received.size(), static_cast<std::size_t>(kItems));
   for (int i = 0; i < kItems; ++i) EXPECT_EQ(received[i], i);
   EXPECT_LE(box.high_water(), 4u);  // the bound really bounded the queue
-  EXPECT_EQ(box.pushed(), static_cast<std::uint64_t>(kItems));
 }
 
 TEST(MailboxTest, CloseDrainsPendingThenStops) {
@@ -84,8 +73,7 @@ TEST(MailboxTest, CloseDrainsPendingThenStops) {
   EXPECT_TRUE(box.push(7));
   EXPECT_TRUE(box.push(8));
   box.close();
-  EXPECT_FALSE(box.push(9));      // closed: push refuses
-  EXPECT_FALSE(box.try_push(9));
+  EXPECT_FALSE(box.push(9));  // closed: push refuses
   int v = 0;
   EXPECT_TRUE(box.pop(&v));  // pending items survive close
   EXPECT_EQ(v, 7);
@@ -111,23 +99,6 @@ TEST(LaneSchedulerTest, LaneAssignmentIsPureFunctionOfSeedAndKey) {
     if (c.lane_for(key) != lane) seed_changes_some_assignment = true;
   }
   EXPECT_TRUE(seed_changes_some_assignment);  // the seed actually salts
-}
-
-TEST(LaneSchedulerTest, MergeOrderIsSeedDerivedPermutation) {
-  runtime::LaneScheduler a(8, 5);
-  runtime::LaneScheduler b(8, 5);
-  EXPECT_EQ(a.merge_order(), b.merge_order());
-  EXPECT_EQ(a.merge_order().size(), 8u);
-  std::set<std::size_t> seen(a.merge_order().begin(), a.merge_order().end());
-  EXPECT_EQ(seen.size(), 8u);  // permutation of [0, 8)
-  EXPECT_EQ(*seen.begin(), 0u);
-  EXPECT_EQ(*seen.rbegin(), 7u);
-
-  bool any_differs = false;
-  for (std::uint64_t seed = 1; seed <= 16 && !any_differs; ++seed) {
-    any_differs = runtime::LaneScheduler(8, seed).merge_order() != a.merge_order();
-  }
-  EXPECT_TRUE(any_differs);  // order is seed-derived, not fixed
 }
 
 TEST(LaneSchedulerTest, SingleLaneRunsInlineOnCaller) {
@@ -161,26 +132,6 @@ TEST(LaneSchedulerTest, BarrierWaitsForEveryTask) {
   EXPECT_EQ(executed, static_cast<std::uint64_t>(kTasks));
 }
 
-TEST(LaneSchedulerTest, ScratchMergesInMergeOrderAndResets) {
-  runtime::LaneScheduler sched(4, 3);
-  for (std::size_t l = 0; l < 4; ++l) {
-    sched.submit(l, [&sched, l] {
-      sched.lane_scratch(l).add("work.items", double(l + 1));
-      sched.lane_scratch(l).observe("work.cost", double(l));
-    });
-  }
-  sched.barrier();
-  util::MetricsRegistry total;
-  sched.merge_scratch_into(total);
-  EXPECT_DOUBLE_EQ(total.value("work.items"), 1 + 2 + 3 + 4);
-  ASSERT_NE(total.histogram("work.cost"), nullptr);
-  EXPECT_EQ(total.histogram("work.cost")->count(), 4u);
-  // Scratch is cleared by the fold.
-  util::MetricsRegistry again;
-  sched.merge_scratch_into(again);
-  EXPECT_EQ(again.size(), 0u);
-}
-
 // -------------------------------------------------------------- metrics merge --
 
 TEST(MetricsMergeTest, CountersAddHistogramsMergeOrCopy) {
@@ -202,211 +153,66 @@ TEST(MetricsMergeTest, CountersAddHistogramsMergeOrCopy) {
   EXPECT_EQ(a.histogram("h.only_b")->count(), 1u);
 }
 
-// ------------------------------------------------------------ sharded runtime --
+// ---------------------------------------------------------- graph hierarchy --
 
-constexpr const char* kEventsService = R"JS(db.query("CREATE TABLE events (user, v)");)JS";
+/// Per-unit state hashes — what ReplicationGraph::converged() compares.
+std::vector<std::uint64_t> unit_hashes(const runtime::ReplicaState& replica) {
+  std::vector<std::uint64_t> out;
+  for (const runtime::DocUnit& unit : replica.docs()) out.push_back(unit.doc->state_hash());
+  return out;
+}
 
-// A small edge -> regional -> cloud hierarchy on a ShardedRuntime whose
-// client ops are SQL inserts (the bench's workload shape, shrunk).
-struct ShardWorld {
-  std::vector<std::unique_ptr<runtime::ServiceRuntime>> services;
-  sqldb::Statement insert = sqldb::parse_sql("INSERT INTO events (user, v) VALUES (?, ?)");
-  runtime::ShardedRuntime rt;
-  std::vector<std::string> edges;
-
-  explicit ShardWorld(std::size_t lanes, std::size_t inbox_capacity = 4096,
-                      std::size_t edge_count = 8)
-      : rt(make_config(lanes, inbox_capacity),
-           [this](runtime::ReplicaState& replica, const runtime::ClientOp& op) {
-             replica.service().database().execute(
-                 insert, {sqldb::SqlValue(double(op.user)), sqldb::SqlValue(op.value)});
-           }) {
-    add("cloud");
-    add("regional0");
-    add("regional1");
-    rt.add_uplink("regional0", "cloud");
-    rt.add_uplink("regional1", "cloud");
-    for (std::size_t e = 0; e < edge_count; ++e) {
-      edges.push_back("edge" + std::to_string(e));
-      add(edges.back());
-      rt.add_uplink(edges.back(), e % 2 == 0 ? "regional0" : "regional1");
-    }
-  }
-
-  static runtime::ShardedConfig make_config(std::size_t lanes, std::size_t inbox_capacity) {
-    runtime::ShardedConfig config;
-    config.lanes = lanes;
-    config.seed = 1;
-    config.inbox_capacity = inbox_capacity;
-    return config;
-  }
-
-  void add(const std::string& id) {
-    services.push_back(std::make_unique<runtime::ServiceRuntime>(kEventsService));
-    auto state = std::make_shared<runtime::ReplicaState>(
-        id, services.back().get(), std::set<std::string>{}, std::set<std::string>{});
-    state->attach_existing();
-    rt.add_replica(std::move(state));
-  }
-
-  // `rounds` rounds of `per_edge` deterministic client ops per edge.
-  void drive(std::size_t rounds, std::size_t per_edge = 4) {
-    for (std::size_t round = 0; round < rounds; ++round) {
-      for (std::size_t e = 0; e < edges.size(); ++e) {
-        std::vector<runtime::ClientOp> batch(per_edge);
-        for (std::size_t j = 0; j < per_edge; ++j) {
-          batch[j].user = e * 100 + (round * per_edge + j) % 7;
-          batch[j].value = double(round * 1000 + j);
-        }
-        rt.post_client_ops(edges[e], std::move(batch));
-      }
-      rt.run_round();
-    }
-  }
-
-  std::string metrics_text() const {
-    util::MetricsRegistry reg;
-    rt.export_metrics(reg);
-    return reg.format();
-  }
-
-  std::string all_digests() const {
-    std::string out;
-    out += "cloud:" + rt.replica("cloud").state_digest() + "\n";
-    out += "regional0:" + rt.replica("regional0").state_digest() + "\n";
-    out += "regional1:" + rt.replica("regional1").state_digest() + "\n";
-    for (const std::string& e : edges) out += e + ":" + rt.replica(e).state_digest() + "\n";
-    return out;
-  }
+struct HierarchyRun {
+  std::string cloud_digest;
+  std::uint64_t sync_bytes = 0;
+  std::uint64_t sync_messages = 0;
+  int converge_rounds = -1;
+  std::size_t cloud_rows = 0;
+  std::string sync_metrics;
 };
 
-TEST(ShardedRuntimeTest, SameSeedSameLanesIsByteIdentical) {
-  ShardWorld a(2), b(2);
-  a.drive(3);
-  b.drive(3);
-  EXPECT_EQ(a.all_digests(), b.all_digests());
-  EXPECT_EQ(a.metrics_text(), b.metrics_text());  // counters, peaks, skew — all of it
-  EXPECT_EQ(a.rt.sim_now(), b.rt.sim_now());
-  EXPECT_EQ(a.rt.client_ops_processed(), b.rt.client_ops_processed());
-  EXPECT_EQ(a.rt.sync_ops_applied(), b.rt.sync_ops_applied());
+/// The fig9 scaled scenario, shrunk: 8 edges under 2 regionals, 3 rounds
+/// of 4 inserts per edge.
+HierarchyRun run_hierarchy(std::size_t lanes) {
+  bench::ScaledHierarchy world(/*edges=*/8, /*fanout=*/4, lanes);
+  world.drive(/*rounds=*/3, /*ops_per_edge=*/4);
+  HierarchyRun run;
+  run.converge_rounds = world.rounds_to_converge();
+  run.cloud_digest = world.cloud().state_digest();
+  run.sync_bytes = world.graph().total_sync_bytes();
+  run.sync_messages = world.graph().sync_messages();
+  run.cloud_rows = world.cloud().tables().live_rows();
+  run.sync_metrics = world.graph().metrics().format();
+  const std::vector<std::uint64_t> cloud = unit_hashes(world.cloud());
+  for (const std::string& edge : world.edge_ids()) {
+    EXPECT_EQ(unit_hashes(world.graph().endpoint(edge)), cloud) << edge << " lanes=" << lanes;
+  }
+  return run;
 }
 
-TEST(ShardedRuntimeTest, ConvergedStateIsLaneCountInvariant) {
-  ShardWorld serial(1);
-  serial.drive(3);
-  const std::string expect_digests = serial.all_digests();
-  const std::uint64_t expect_client = serial.rt.client_ops_processed();
-  const std::uint64_t expect_applied = serial.rt.sync_ops_applied();
-  const std::size_t expect_rows = serial.rt.replica("cloud").tables().live_rows();
-  EXPECT_EQ(expect_rows, 8u * 3u * 4u);  // every edge op reached the cloud
-
-  for (const std::size_t lanes : {std::size_t{2}, std::size_t{8}}) {
-    ShardWorld w(lanes);
-    w.drive(3);
-    EXPECT_EQ(w.all_digests(), expect_digests) << "lanes=" << lanes;
-    EXPECT_EQ(w.rt.client_ops_processed(), expect_client) << "lanes=" << lanes;
-    EXPECT_EQ(w.rt.sync_ops_applied(), expect_applied) << "lanes=" << lanes;
-    EXPECT_EQ(w.rt.replica("cloud").tables().live_rows(), expect_rows) << "lanes=" << lanes;
+TEST(GraphHierarchyTest, ConvergedStateIsLaneCountInvariant) {
+  const HierarchyRun serial = run_hierarchy(1);
+  EXPECT_GE(serial.converge_rounds, 1);
+  EXPECT_EQ(serial.cloud_rows, 8u * 3u * 4u);  // every edge insert reached the cloud
+  for (const std::size_t lanes : {std::size_t{2}, std::size_t{4}, std::size_t{8}}) {
+    const HierarchyRun run = run_hierarchy(lanes);
+    EXPECT_EQ(run.cloud_digest, serial.cloud_digest) << "lanes=" << lanes;
+    EXPECT_EQ(run.sync_bytes, serial.sync_bytes) << "lanes=" << lanes;
+    EXPECT_EQ(run.sync_messages, serial.sync_messages) << "lanes=" << lanes;
+    EXPECT_EQ(run.converge_rounds, serial.converge_rounds) << "lanes=" << lanes;
+    EXPECT_EQ(run.cloud_rows, serial.cloud_rows) << "lanes=" << lanes;
   }
 }
 
-TEST(ShardedRuntimeTest, LaneAssignmentMatchesSchedulerHash) {
-  ShardWorld w(4);
-  for (const std::string& e : w.edges) {
-    EXPECT_EQ(w.rt.lane_of(e), w.rt.scheduler().lane_for(e));
-  }
-}
-
-// Per-doc ordering under concurrent apply: ops from one origin must land
-// in origin order even when other lanes are applying concurrently. A
-// last-writer-wins global makes order violations visible — if FIFO order
-// broke anywhere between the edge and the cloud, a stale value could mint
-// a later Lamport stamp and win.
-TEST(ShardedRuntimeTest, PerDocOrderingSurvivesConcurrentApply) {
-  constexpr const char* kLwwService = R"JS(
-var last = 0;
-db.query("CREATE TABLE events (user, v)");
-app.post("/set", function (req, res) {
-  last = req.params.v;
-  res.send({ last: last });
-});
-)JS";
-  auto set_request = [](double v) {
-    http::HttpRequest req;
-    req.verb = http::Verb::kPost;
-    req.path = "/set";
-    req.params = json::Value::object({{"v", v}});
-    return req;
-  };
-
-  for (const std::size_t lanes : {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
-    runtime::ShardedConfig config;
-    config.lanes = lanes;
-    config.seed = 1;
-    std::vector<std::unique_ptr<runtime::ServiceRuntime>> services;
-    runtime::ShardedRuntime rt(config, [&set_request](runtime::ReplicaState& replica,
-                                                      const runtime::ClientOp& op) {
-      replica.service().handle(set_request(op.value));
-    });
-    auto add = [&](const std::string& id) {
-      services.push_back(std::make_unique<runtime::ServiceRuntime>(kLwwService));
-      auto state = std::make_shared<runtime::ReplicaState>(
-          id, services.back().get(), std::set<std::string>{},
-          std::set<std::string>{"*"});  // sync all globals (the LWW register)
-      state->attach_existing();
-      rt.add_replica(std::move(state));
-    };
-    add("cloud");
-    for (int e = 0; e < 4; ++e) {
-      add("edge" + std::to_string(e));
-      rt.add_uplink("edge" + std::to_string(e), "cloud");
-    }
-
-    // Edge 0 writes an ascending sequence split across several batches and
-    // rounds; the other edges churn concurrently with strictly smaller
-    // values. The cloud must end on edge 0's final write.
-    double next = 100;
-    for (int round = 0; round < 3; ++round) {
-      for (int e = 1; e < 4; ++e) {
-        rt.post_client_ops("edge" + std::to_string(e),
-                           {{std::uint64_t(e), 1.0}, {std::uint64_t(e), 2.0}});
-      }
-      std::vector<runtime::ClientOp> seq;
-      for (int j = 0; j < 5; ++j) seq.push_back({0, next++});
-      rt.post_client_ops("edge0", std::move(seq));
-      rt.run_round();
-    }
-
-    // The LWW global replicated to the cloud must be edge 0's last write.
-    const std::optional<json::Value> last = rt.replica("cloud").globals().get("last");
-    ASSERT_TRUE(last.has_value()) << "lanes=" << lanes;
-    EXPECT_DOUBLE_EQ(last->as_number(), next - 1) << "lanes=" << lanes;
-  }
-}
-
-// A tiny inbox forces the relief-drain backpressure path; the run must
-// neither deadlock nor change the converged state.
-TEST(ShardedRuntimeTest, TinyInboxBackpressuresWithoutDeadlock) {
-  ShardWorld roomy(2, /*inbox_capacity=*/4096);
-  ShardWorld tiny(2, /*inbox_capacity=*/2);
-  roomy.drive(3);
-  tiny.drive(3);
-  EXPECT_EQ(tiny.all_digests(), roomy.all_digests());
-  EXPECT_EQ(tiny.rt.client_ops_processed(), roomy.rt.client_ops_processed());
-  EXPECT_EQ(tiny.rt.sync_ops_applied(), roomy.rt.sync_ops_applied());
-  // And the bound was honored (relief drains, not bigger queues).
-  util::MetricsRegistry reg;
-  tiny.rt.export_metrics(reg);
-  for (const auto& [name, value] : reg.snapshot("runtime.lanes.")) {
-    if (name.find(".inbox_peak") != std::string::npos) {
-      EXPECT_LE(value, 2.0) << name;
-    }
-  }
-  // Same-seed reruns of the backpressured configuration stay byte-identical
-  // (relief events are part of the deterministic schedule, not a race).
-  ShardWorld tiny2(2, /*inbox_capacity=*/2);
-  tiny2.drive(3);
-  EXPECT_EQ(tiny2.metrics_text(), tiny.metrics_text());
+// Same lane count twice: the graph's whole sync metrics registry — bytes
+// and ops per endpoint and doc, digest hits, batch budgets — matches
+// byte for byte.
+TEST(GraphHierarchyTest, SameLanesRerunIsByteIdentical) {
+  const HierarchyRun a = run_hierarchy(4);
+  const HierarchyRun b = run_hierarchy(4);
+  EXPECT_EQ(a.cloud_digest, b.cloud_digest);
+  EXPECT_EQ(a.sync_metrics, b.sync_metrics);
+  EXPECT_FALSE(a.sync_metrics.empty());
 }
 
 // ------------------------------------------------------------------ sim plane --

@@ -6,18 +6,13 @@
 // wraparound, and the watchdog's streak / no-data / fire-once rules.
 #include <gtest/gtest.h>
 
-#include <memory>
-#include <set>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
-#include "obs/export.h"
 #include "obs/flight_recorder.h"
 #include "obs/timeseries.h"
 #include "obs/watchdog.h"
-#include "runtime/sharded_runtime.h"
-#include "sqldb/parser.h"
 
 namespace edgstr {
 namespace {
@@ -284,66 +279,6 @@ TEST(WatchdogTest, AlertDetailNamesTheOffendingWindow) {
 
 TEST(WatchdogTest, NullSeriesIsRejected) {
   EXPECT_THROW(obs::Watchdog(nullptr, obs::default_slo_rules()), std::invalid_argument);
-}
-
-// ------------------------------------------------- ShardedRuntime lane fold
-
-/// A small sharded hierarchy (1 cloud, 2 regionals, 8 edges) with the
-/// time-series sink attached: the per-lane scratch series must fold into a
-/// byte-identical export at any lane count, because the fold runs in the
-/// scheduler's seed-derived merge order, not arrival order.
-std::string sharded_series_dump(std::size_t lanes) {
-  constexpr std::size_t kEdges = 8, kFanout = 4, kRounds = 3, kOpsPerEdgeRound = 4;
-  runtime::ShardedConfig config;
-  config.lanes = lanes;
-  config.seed = 1;
-  const sqldb::Statement insert = sqldb::parse_sql("INSERT INTO events (user, v) VALUES (?, ?)");
-  runtime::ShardedRuntime rt(
-      config, [&insert](runtime::ReplicaState& replica, const runtime::ClientOp& op) {
-        replica.service().database().execute(
-            insert, {sqldb::SqlValue(double(op.user)), sqldb::SqlValue(op.value)});
-      });
-
-  std::vector<std::unique_ptr<runtime::ServiceRuntime>> services;
-  const auto add = [&](const std::string& id) {
-    services.push_back(
-        std::make_unique<runtime::ServiceRuntime>(R"JS(db.query("CREATE TABLE events (user, v)");)JS"));
-    auto state = std::make_shared<runtime::ReplicaState>(
-        id, services.back().get(), std::set<std::string>{}, std::set<std::string>{});
-    state->attach_existing();
-    rt.add_replica(std::move(state));
-  };
-  add("cloud");
-  for (std::size_t r = 0; r < kEdges / kFanout; ++r) {
-    add("regional" + std::to_string(r));
-    rt.add_uplink("regional" + std::to_string(r), "cloud");
-  }
-  for (std::size_t e = 0; e < kEdges; ++e) {
-    add("edge" + std::to_string(e));
-    rt.add_uplink("edge" + std::to_string(e), "regional" + std::to_string(e / kFanout));
-  }
-
-  obs::TimeSeries series(1.0);
-  rt.set_timeseries(&series);
-  for (std::size_t round = 0; round < kRounds; ++round) {
-    for (std::size_t e = 0; e < kEdges; ++e) {
-      std::vector<runtime::ClientOp> batch(kOpsPerEdgeRound);
-      for (std::size_t j = 0; j < kOpsPerEdgeRound; ++j) {
-        batch[j].user = e * 10 + j;
-        batch[j].value = double(round * 100 + j);
-      }
-      rt.post_client_ops("edge" + std::to_string(e), std::move(batch));
-    }
-    rt.run_round();
-  }
-  return obs::timeseries_json(series).dump_pretty();
-}
-
-TEST(ShardedTimeSeriesTest, ExportIsByteIdenticalAcrossLaneCounts) {
-  const std::string serial = sharded_series_dump(1);
-  EXPECT_NE(serial.find("shard.client_ops"), std::string::npos);
-  EXPECT_NE(serial.find("shard.applied_ops"), std::string::npos);
-  EXPECT_EQ(serial, sharded_series_dump(4));
 }
 
 }  // namespace

@@ -238,6 +238,26 @@ TEST(StringsTest, FormatDoubleTrimsZeros) {
   EXPECT_EQ(format_double(0.125, 3), "0.125");
 }
 
+TEST(StringsTest, ParseU64AcceptsBareDigits) {
+  std::uint64_t v = 0;
+  EXPECT_TRUE(parse_u64("4", &v));
+  EXPECT_EQ(v, 4u);
+  EXPECT_TRUE(parse_u64("0", &v));
+  EXPECT_EQ(v, 0u);
+  EXPECT_TRUE(parse_u64("18446744073709551615", &v));  // 2^64 - 1
+  EXPECT_EQ(v, UINT64_MAX);
+}
+
+// strtoul turns "-1" into SIZE_MAX and "abc" into 0; these must be errors,
+// and a failed parse must not touch the output.
+TEST(StringsTest, ParseU64RejectsSignsSpacesJunkAndOverflow) {
+  for (const char* bad : {"-1", " 4", "4 ", "4x", "", "+4", "abc", "18446744073709551616"}) {
+    std::uint64_t v = 7;
+    EXPECT_FALSE(parse_u64(bad, &v)) << '"' << bad << '"';
+    EXPECT_EQ(v, 7u) << '"' << bad << '"';
+  }
+}
+
 // -------------------------------------------------------------- logging --
 
 TEST(LoggingTest, SinkReceivesMessagesAboveThreshold) {

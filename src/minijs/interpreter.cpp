@@ -8,15 +8,9 @@
 
 namespace edgstr::minijs {
 
-namespace {
-/// Pooled Environments kept for reuse; beyond this they are freed.
-constexpr std::size_t kFramePoolCap = 256;
-}  // namespace
-
 Interpreter::Interpreter(Program program, Config config)
     : program_(std::move(program)),
       config_(config),
-      pool_(std::make_shared<FramePool>()),
       rng_(config.rng_seed) {
   // The bytecode compiler consumes (depth, slot) addresses, so the VM
   // implies the resolver.
@@ -32,8 +26,8 @@ Interpreter::Interpreter(Program program, Config config)
     compiled_ = compile_program(program_);
     vm_ = std::make_unique<Vm>(*this);
   }
-  builtins_ = std::make_shared<Environment>();
-  globals_ = std::make_shared<Environment>(builtins_);
+  builtins_ = make_named(nullptr);
+  globals_ = make_named(builtins_);
   install_builtins(*this, *builtins_);
 }
 
@@ -42,35 +36,15 @@ Interpreter::~Interpreter() = default;
 std::uint64_t Interpreter::ic_hits() const { return vm_ ? vm_->ic_hits() : 0; }
 std::uint64_t Interpreter::ic_misses() const { return vm_ ? vm_->ic_misses() : 0; }
 
-void Interpreter::FrameReclaimer::operator()(Environment* env) const {
-  if (pool && pool->free.size() < kFramePoolCap) {
-    env->reset();
-    pool->free.push_back(env);
-  } else {
-    delete env;
-  }
-}
-
-std::shared_ptr<Environment> Interpreter::acquire_env() {
-  Environment* env;
-  if (!pool_->free.empty()) {
-    env = pool_->free.back();
-    pool_->free.pop_back();
-  } else {
-    env = new Environment();
-  }
-  return std::shared_ptr<Environment>(env, FrameReclaimer{pool_});
-}
-
 std::shared_ptr<Environment> Interpreter::make_named(std::shared_ptr<Environment> parent) {
-  auto env = acquire_env();
+  auto env = heap_.acquire();
   env->init_named(std::move(parent));
   return env;
 }
 
 std::shared_ptr<Environment> Interpreter::make_frame(ScopeInfoPtr scope,
                                                      std::shared_ptr<Environment> parent) {
-  auto env = acquire_env();
+  auto env = heap_.acquire();
   env->init_frame(std::move(scope), std::move(parent));
   return env;
 }

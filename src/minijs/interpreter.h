@@ -149,6 +149,9 @@ class Interpreter {
   std::uint64_t named_reads() const { return named_reads_; }  ///< dynamic-walk reads
   std::uint64_t slot_writes() const { return slot_writes_; }    ///< fast-path writes
   std::uint64_t named_writes() const { return named_writes_; }  ///< dynamic-walk writes
+  /// Environments currently referenced: builtins, globals, and every frame
+  /// a live closure or a running call holds. Flat across served requests.
+  std::size_t live_environments() const { return heap_.live(); }
 
   // VM introspection (zeros / null when config.vm is off).
   bool vm_enabled() const { return vm_ != nullptr; }
@@ -164,28 +167,18 @@ class Interpreter {
   void register_route(http::Verb verb, const std::string& path, JsValue handler);
 
  private:
-  /// Recycles Environment allocations. Shared with every frame's deleter,
-  /// so pooled frames stay valid even if a closure outlives the
-  /// interpreter that created it.
-  struct FramePool {
-    std::vector<Environment*> free;
-    ~FramePool() {
-      for (Environment* env : free) delete env;
-    }
-  };
-  struct FrameReclaimer {
-    std::shared_ptr<FramePool> pool;
-    void operator()(Environment* env) const;
-  };
-
   friend class Vm;  ///< the bytecode engine shares the whole runtime state
 
+  /// Allocates every environment below. Declared first so it is destroyed
+  /// last: the other members drop their references, then its teardown frees
+  /// what closure <-> environment cycles still hold. No closure or
+  /// environment may outlive the interpreter.
+  EnvHeap heap_;
   Program program_;
   Config config_;
   ResolveStats resolve_stats_;
   CompiledProgram compiled_;  ///< populated when config.vm is on
   std::unique_ptr<Vm> vm_;    ///< bytecode engine; null -> tree-walk only
-  std::shared_ptr<FramePool> pool_;
   std::shared_ptr<Environment> builtins_;  ///< root scope: natives
   std::shared_ptr<Environment> globals_;   ///< user globals
   std::map<http::Route, JsValue> routes_;
@@ -222,7 +215,6 @@ class Interpreter {
     }
   }
 
-  std::shared_ptr<Environment> acquire_env();
   std::shared_ptr<Environment> make_named(std::shared_ptr<Environment> parent);
   std::shared_ptr<Environment> make_frame(ScopeInfoPtr scope,
                                           std::shared_ptr<Environment> parent);

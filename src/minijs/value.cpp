@@ -435,4 +435,68 @@ Environment& Environment::global() {
   return *env;
 }
 
+// -------------------------------------------------------------- EnvHeap --
+
+namespace {
+/// Free environments kept for reuse; beyond this they are freed.
+constexpr std::size_t kFreeListCap = 256;
+}  // namespace
+
+std::shared_ptr<Environment> EnvHeap::acquire() {
+  Environment* env;
+  if (!free_.empty()) {
+    env = free_.back();
+    free_.pop_back();
+  } else {
+    auto fresh = std::make_unique<Environment>();
+    fresh->heap_ = this;
+    fresh->heap_slot_ = owned_.size();
+    owned_.push_back(fresh.get());
+    env = fresh.release();
+  }
+  return std::shared_ptr<Environment>(env, Release{});
+}
+
+void EnvHeap::Release::operator()(Environment* env) const {
+  if (env->heap_) {
+    env->heap_->release(env);
+  } else {
+    delete env;  // outlived its heap (see the ownership rule)
+  }
+}
+
+void EnvHeap::release(Environment* env) {
+  if (tearing_down_) {
+    env->heap_ = nullptr;  // unreferenced: the teardown walk frees it
+    return;
+  }
+  if (free_.size() < kFreeListCap) {
+    env->reset();  // may release further environments (re-enters here)
+    free_.push_back(env);
+    return;
+  }
+  Environment* const last = owned_.back();
+  owned_[env->heap_slot_] = last;
+  last->heap_slot_ = env->heap_slot_;
+  owned_.pop_back();
+  delete env;
+}
+
+EnvHeap::~EnvHeap() {
+  // Under tearing_down_, release() only clears heap_, so resetting one
+  // environment can drop the last reference to another without changing
+  // owned_ under the walk. Afterwards heap_ is null exactly on the
+  // unreferenced environments.
+  tearing_down_ = true;
+  for (Environment* env : free_) env->heap_ = nullptr;
+  for (Environment* env : owned_) env->reset();
+  for (Environment* env : owned_) {
+    if (env->heap_) {
+      env->heap_ = nullptr;  // still referenced: Release frees it later
+    } else {
+      delete env;
+    }
+  }
+}
+
 }  // namespace edgstr::minijs

@@ -69,6 +69,7 @@ class JsObject {
 };
 
 class Environment;
+class EnvHeap;
 
 /// User-defined function value.
 struct Closure {
@@ -215,16 +216,16 @@ inline JsValue& JsObject::value_at(std::size_t i) { return entries_[i].second; }
 ///    invisible to chain lookups, which makes the frame path observably
 ///    identical to the named path (shadowing, not-yet-declared reads, ...).
 ///
-/// Frames (and named child scopes) are recycled through the interpreter's
-/// FramePool; `reset()` returns an environment to its blank state.
+/// Every environment is allocated by its interpreter's EnvHeap, which
+/// recycles frames and frees them all when the interpreter goes; `reset()`
+/// returns an environment to its blank state.
 class Environment {
  public:
   Environment() = default;
-  explicit Environment(std::shared_ptr<Environment> parent) : parent_(std::move(parent)) {}
 
-  /// (Re)initializes as a named scope (pool reuse path).
+  /// (Re)initializes as a named scope (also on reuse from the free list).
   void init_named(std::shared_ptr<Environment> parent);
-  /// (Re)initializes as a slot frame for `scope` (pool reuse path).
+  /// (Re)initializes as a slot frame for `scope` (also on reuse).
   void init_frame(ScopeInfoPtr scope, std::shared_ptr<Environment> parent);
   /// Clears all bindings and drops the parent chain reference.
   void reset();
@@ -290,12 +291,56 @@ class Environment {
   bool erase_local(util::Symbol sym);
 
  private:
+  friend class EnvHeap;
+
   std::unordered_map<util::Symbol, JsValue> named_;
   ScopeInfoPtr scope_;                 ///< null -> named mode
   std::vector<JsValue> slots_;         ///< aligned with scope_->slots
   std::vector<unsigned char> bound_;   ///< slot occupancy
   std::shared_ptr<Environment> parent_;
   std::uint64_t version_ = 0;          ///< binding-set generation (see version())
+  EnvHeap* heap_ = nullptr;  ///< owning heap; null once the heap no longer manages it
+  std::size_t heap_slot_ = 0;  ///< index in the heap's registry
+};
+
+/// An interpreter's environment heap. It allocates every Environment the
+/// interpreter creates (builtins, globals, named scopes, tree-walker frames
+/// and the VM's scope chain) and keeps a registry of them.
+///
+///  * Recycling: an environment goes back to the free list when its last
+///    reference drops, so serving a request allocates nothing new and
+///    live() does not grow per request.
+///  * Teardown: a closure holds its defining environment, which may hold
+///    the closure (a `function` declaration), so reference counting alone
+///    never frees them. The heap's destructor resets every environment it
+///    allocated, which drops every binding and parent link and with them
+///    every closure, then frees the memory.
+///
+/// Ownership rule: no closure or environment may outlive its interpreter.
+/// Should one still be referenced at teardown anyway, it is left allocated
+/// (blank) and freed when that last reference drops.
+class EnvHeap {
+ public:
+  EnvHeap() = default;
+  EnvHeap(const EnvHeap&) = delete;
+  EnvHeap& operator=(const EnvHeap&) = delete;
+  ~EnvHeap();
+
+  /// A blank environment, taken from the free list when one is there.
+  std::shared_ptr<Environment> acquire();
+
+  /// Environments handed out whose last reference has not dropped.
+  std::size_t live() const { return owned_.size() - free_.size(); }
+
+ private:
+  struct Release {
+    void operator()(Environment* env) const;
+  };
+  void release(Environment* env);
+
+  std::vector<Environment*> owned_;  ///< everything allocated and not yet freed
+  std::vector<Environment*> free_;   ///< blank and unreferenced, reused by acquire()
+  bool tearing_down_ = false;
 };
 
 }  // namespace edgstr::minijs

@@ -1,8 +1,8 @@
 // MiniJS bytecode VM.
 //
 // Executes chunks produced by minijs/compile.h against the *same* runtime
-// state the tree-walker uses: the interpreter's environment chain, frame
-// pool, step/depth budgets, counters, and instrumentation hooks. The two
+// state the tree-walker uses: the interpreter's environment chain and
+// heap, step/depth budgets, counters, and instrumentation hooks. The two
 // engines are interchangeable mid-program — a chunked closure called from
 // tree-walked code runs on the VM, a chunk-less closure reached from
 // bytecode falls back to the tree-walker — which is what lets the variant

@@ -125,13 +125,18 @@ WorkloadResult WorkloadDriver::drive(const ArrivalSchedule& schedule, const Requ
       });
     });
   }
+  // Self-rescheduling hook; the chain stops at the schedule's end, which
+  // run_until passes. It refers to itself weakly (a strong capture would
+  // make it own itself and never be freed), so this frame keeps it alive.
+  std::shared_ptr<std::function<void()>> tick;
   if (hook_) {
     const double end = start + schedule.duration_s();
-    auto tick = std::make_shared<std::function<void()>>();
-    // Self-rescheduling hook; the chain stops at the schedule's end.
-    *tick = [this, end, tick] {
+    tick = std::make_shared<std::function<void()>>();
+    *tick = [this, end, self = std::weak_ptr<std::function<void()>>(tick)] {
       hook_();
-      if (clock_.now() + hook_period_s_ <= end) clock_.schedule(hook_period_s_, *tick);
+      if (clock_.now() + hook_period_s_ <= end) {
+        if (const auto next = self.lock()) clock_.schedule(hook_period_s_, *next);
+      }
     };
     clock_.schedule(hook_period_s_, *tick);
   }

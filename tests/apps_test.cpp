@@ -4,6 +4,9 @@
 // the paper replays for RQ1.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
+
 #include "apps/app.h"
 #include "trace/state_capture.h"
 
@@ -277,6 +280,32 @@ TEST(AppModelFilesTest, HeavyAppsCarryRealisticModels) {
     trace::ProfilingHarness harness(e.app->server_source);
     ASSERT_TRUE(harness.filesystem().exists(e.path)) << e.app->name;
     EXPECT_GE(harness.filesystem().read(e.path).size(), e.min_bytes) << e.app->name;
+  }
+}
+
+// Serving reuses the interpreter's recycled frames: 1,000 requests of any
+// route leave the same environments live as after init, on both engines.
+// Each route starts from a fresh init, so no route serves another's rows.
+TEST(AppServingTest, LiveEnvironmentsStayFlatAcrossRequests) {
+  for (const SubjectApp* app : {&sensor_hub(), &bookworm(), &text_notes()}) {
+    for (const bool vm : {false, true}) {
+      minijs::InterpreterConfig config;
+      config.vm = vm;
+      // The step guard counts over the interpreter's lifetime.
+      config.max_steps = std::numeric_limits<std::uint64_t>::max();
+      for (const http::Route& route : app->services) {
+        SCOPED_TRACE(app->name + " " + route.to_string() + (vm ? " (vm)" : " (tree-walker)"));
+        const auto it = std::find_if(app->workload.begin(), app->workload.end(),
+                                     [&](const http::HttpRequest& r) {
+                                       return r.verb == route.verb && r.path == route.path;
+                                     });
+        ASSERT_NE(it, app->workload.end());
+        trace::ProfilingHarness harness(app->server_source, config);
+        const std::size_t after_init = harness.interpreter().live_environments();
+        for (int i = 0; i < 1000; ++i) harness.invoke(route, *it);
+        EXPECT_EQ(harness.interpreter().live_environments(), after_init);
+      }
+    }
   }
 }
 

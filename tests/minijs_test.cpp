@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <memory>
+
+#include "apps/app.h"
 #include "minijs/interpreter.h"
 #include "json/parse.h"
 #include "minijs/lexer.h"
@@ -549,6 +552,127 @@ TEST(MiniJsPrinter, AllStatementKindsRoundTrip) {
   const json::Value reprinted = run_service(printed, json::Value::object({{"x", 1}}));
   EXPECT_EQ(direct, reprinted);
 }
+
+// A closure holds its defining environment, and a `function` declaration
+// binds the closure back into that environment, so reference counting alone
+// frees neither. Destroying the interpreter must free both, on either
+// engine (param: InterpreterConfig::vm).
+class MiniJsTeardown : public ::testing::TestWithParam<bool> {
+ protected:
+  std::unique_ptr<Interpreter> start(const std::string& source) {
+    InterpreterConfig config;
+    config.vm = GetParam();
+    auto interp = std::make_unique<Interpreter>(parse_program(source), config);
+    interp->bind_database(&db_);
+    interp->bind_vfs(&fs_);
+    interp->run_toplevel();
+    return interp;
+  }
+
+  /// Watches `fn` and the environment it closes over.
+  void watch(const JsValue& fn) {
+    closures_.push_back(fn.as_closure());
+    envs_.push_back(fn.as_closure()->env);
+  }
+  void watch_globals(Interpreter& interp) { envs_.push_back(interp.globals()); }
+
+  /// Destroys the interpreter and checks that everything watched is gone.
+  void expect_all_freed(std::unique_ptr<Interpreter> interp) {
+    ASSERT_FALSE(closures_.empty());
+    interp.reset();
+    for (std::size_t i = 0; i < closures_.size(); ++i) {
+      EXPECT_TRUE(closures_[i].expired()) << "closure #" << i << " outlived its interpreter";
+    }
+    for (std::size_t i = 0; i < envs_.size(); ++i) {
+      EXPECT_TRUE(envs_[i].expired()) << "environment #" << i << " outlived its interpreter";
+    }
+  }
+
+  sqldb::Database db_;
+  vfs::Vfs fs_;
+  std::vector<std::weak_ptr<Closure>> closures_;
+  std::vector<std::weak_ptr<Environment>> envs_;
+};
+
+TEST_P(MiniJsTeardown, TopLevelFunctionDeclaration) {
+  auto interp = start("function twice(x) { return x * 2; } var four = twice(2);");
+  watch(interp->globals()->get("twice"));
+  watch_globals(*interp);
+  expect_all_freed(std::move(interp));
+}
+
+TEST_P(MiniJsTeardown, MakeCounterClosures) {
+  auto interp = start(R"JS(
+    function makeCounter() {
+      var n = 0;
+      return function () { n = n + 1; return n; };
+    }
+    var c = makeCounter();
+    var d = makeCounter();
+    c(); c(); d();
+  )JS");
+  EXPECT_DOUBLE_EQ(interp->call_global("c", {}).as_number(), 3);
+  watch(interp->globals()->get("makeCounter"));
+  watch(interp->globals()->get("c"));
+  watch(interp->globals()->get("d"));
+  watch_globals(*interp);
+  expect_all_freed(std::move(interp));
+}
+
+TEST_P(MiniJsTeardown, FunctionDeclaredInsideCalledFrame) {
+  // inner's frame binds inner: a cycle no global reaches once outer returns.
+  auto interp = start(R"JS(
+    function outer(k) {
+      function inner() { return k; }
+      inner();
+      return inner;
+    }
+    outer(1);
+  )JS");
+  {
+    const JsValue inner = interp->call_global("outer", {JsValue(2)});
+    EXPECT_DOUBLE_EQ(interp->call_function(inner, {}).as_number(), 2);
+    watch(inner);
+  }
+  watch(interp->globals()->get("outer"));
+  watch_globals(*interp);
+  expect_all_freed(std::move(interp));
+}
+
+TEST_P(MiniJsTeardown, RouteHandlersOfEverySubjectApp) {
+  for (const apps::SubjectApp* app : apps::all_subject_apps()) {
+    SCOPED_TRACE(app->name);
+    db_ = sqldb::Database();
+    fs_ = vfs::Vfs();
+    closures_.clear();
+    envs_.clear();
+    auto interp = start(app->server_source);
+    const http::HttpRequest& req = app->workload.front();
+    EXPECT_TRUE(interp->invoke(http::Route{req.verb, req.path}, req).ok());
+    for (const auto& [route, handler] : interp->routes()) watch(handler);
+    watch_globals(*interp);
+    expect_all_freed(std::move(interp));
+  }
+}
+
+// Breaks the ownership rule on purpose: a closure kept past teardown stays
+// allocated but blank, and goes with its last reference.
+TEST_P(MiniJsTeardown, ClosureKeptPastTeardownIsFreedWithItsLastReference) {
+  auto interp = start("var k = 1; function f() { return k; }");
+  JsValue kept = interp->globals()->get("f");
+  watch(kept);
+  interp.reset();
+  ASSERT_FALSE(closures_[0].expired());
+  EXPECT_EQ(kept.as_closure()->env->find(util::intern("k")), nullptr);
+  kept = JsValue();
+  EXPECT_TRUE(closures_[0].expired());
+  EXPECT_TRUE(envs_[0].expired());
+}
+
+INSTANTIATE_TEST_SUITE_P(Engines, MiniJsTeardown, ::testing::Values(false, true),
+                         [](const ::testing::TestParamInfo<bool>& info) {
+                           return std::string(info.param ? "Vm" : "TreeWalker");
+                         });
 
 }  // namespace
 }  // namespace edgstr::minijs

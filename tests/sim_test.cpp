@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cctype>
+#include <cmath>
 #include <fstream>
 #include <set>
 #include <utility>
@@ -13,6 +14,23 @@
 #include "runtime/service_runtime.h"
 #include "sim/invariants.h"
 #include "sim/schedule.h"
+
+#if defined(__GLIBC__)
+#include <malloc.h>
+#if __GLIBC_PREREQ(2, 33)
+#define EDGSTR_HAS_MALLINFO2 1
+#endif
+#endif
+
+// Sanitizer allocators keep their own books (and LeakSanitizer already
+// checks that nothing outlives a run), so the heap-flatness test skips.
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+#define EDGSTR_SANITIZED 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+#define EDGSTR_SANITIZED 1
+#endif
+#endif
 
 namespace edgstr::sim {
 namespace {
@@ -646,6 +664,36 @@ TEST(SimTraceTest, DumpElidesTheMiddleOfLongTraces) {
   EXPECT_NE(dump.find("..."), std::string::npos);
   EXPECT_NE(dump.find("e 0"), std::string::npos);
   EXPECT_NE(dump.find("e 99"), std::string::npos);
+}
+
+// Every schedule builds and destroys whole service runtimes (crash/restart,
+// autoscaler activations, variant shadows, snapshot rejoin); none of them
+// may stay allocated once run_schedule returns: the heap in use after 200
+// consecutive durable + power-loss schedules is within 5% of the heap after
+// 20.
+TEST(SimMemoryTest, HeapStaysFlatAcrossConsecutiveSchedules) {
+#if defined(EDGSTR_SANITIZED) || !defined(EDGSTR_HAS_MALLINFO2)
+  GTEST_SKIP() << "needs glibc's mallinfo2 and no sanitizer allocator";
+#else
+  // Large blocks are mmapped and counted in hblkhd, not uordblks.
+  const auto heap_in_use = [] {
+    const struct mallinfo2 info = mallinfo2();
+    return static_cast<double>(info.uordblks + info.hblkhd);
+  };
+  double after_20 = 0;
+  for (std::uint64_t seed = 1; seed <= 200; ++seed) {
+    ScheduleConfig config;
+    config.seed = seed;
+    config.durable = true;
+    config.power_loss = true;
+    run_schedule(config);
+    if (seed == 20) after_20 = heap_in_use();
+  }
+  const double after_200 = heap_in_use();
+  EXPECT_LE(std::abs(after_200 - after_20), 0.05 * after_20)
+      << "heap in use: " << after_20 << " B after 20 schedules, " << after_200
+      << " B after 200";
+#endif
 }
 
 }  // namespace

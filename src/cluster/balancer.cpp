@@ -77,10 +77,11 @@ void ClusterGateway::forward_to_cloud(const http::HttpRequest& req, double start
                 [this, req, start, done = std::move(done)]() mutable {
                   cloud_.execute(req, [this, start, done = std::move(done)](
                                           runtime::ExecutionResult result) mutable {
-                    const http::HttpResponse resp = result.response;
-                    network_.send(cloud_.name(), client_host_, resp.wire_size(),
-                                  [this, resp, start, done = std::move(done)]() {
-                                    done(resp, network_.clock().now() - start);
+                    const std::uint64_t bytes = result.response.wire_size();
+                    network_.send(cloud_.name(), client_host_, bytes,
+                                  [this, resp = std::move(result.response), start,
+                                   done = std::move(done)]() mutable {
+                                    done(std::move(resp), network_.clock().now() - start);
                                   });
                   });
                 });
@@ -116,10 +117,11 @@ void ClusterGateway::request(const http::HttpRequest& req, runtime::RequestCallb
           }
           ++stats_.served_at_edge;
           if (runtime::ReplicaState* sync = sync_state_for(node)) sync->record_local();
-          const http::HttpResponse resp = result.response;
-          network_.send(node->name(), client_host_, resp.wire_size(),
-                        [this, resp, start, done = std::move(done)]() {
-                          done(resp, network_.clock().now() - start);
+          const std::uint64_t bytes = result.response.wire_size();
+          network_.send(node->name(), client_host_, bytes,
+                        [this, resp = std::move(result.response), start,
+                         done = std::move(done)]() mutable {
+                          done(std::move(resp), network_.clock().now() - start);
                         });
         });
       });

@@ -27,15 +27,19 @@ void CachingProxy::miss_path(const http::HttpRequest& req, double start,
                 [this, req, start, done = std::move(done)]() mutable {
                   cloud_.execute(req, [this, req, start, done = std::move(done)](
                                           runtime::ExecutionResult result) mutable {
-                    const http::HttpResponse resp = result.response;
-                    if (resp.ok()) {
-                      cache_[key_of(req)] = Entry{resp, 0};
+                    // The cache keeps its own copy; the response itself moves on.
+                    if (result.response.ok()) {
+                      cache_[key_of(req)] = Entry{result.response, 0};
                     }
-                    network_.send(cloud_.name(), edge_host_, resp.wire_size(),
-                                  [this, resp, start, done = std::move(done)]() mutable {
-                                    network_.send(edge_host_, client_host_, resp.wire_size(),
-                                                  [this, resp, start, done = std::move(done)]() {
-                                                    done(resp, network_.clock().now() - start);
+                    const std::uint64_t bytes = result.response.wire_size();
+                    network_.send(cloud_.name(), edge_host_, bytes,
+                                  [this, resp = std::move(result.response), bytes, start,
+                                   done = std::move(done)]() mutable {
+                                    network_.send(edge_host_, client_host_, bytes,
+                                                  [this, resp = std::move(resp), start,
+                                                   done = std::move(done)]() mutable {
+                                                    done(std::move(resp),
+                                                         network_.clock().now() - start);
                                                   });
                                   });
                   });
@@ -53,12 +57,15 @@ void CachingProxy::request(const http::HttpRequest& req, runtime::RequestCallbac
                   if (fresh) {
                     ++hits_;
                     ++it->second.hits_since_fill;
-                    const http::HttpResponse resp = it->second.response;
-                    network_.clock().schedule(config_.cache_lookup_s, [this, resp, start,
-                                                                       done = std::move(done)]() mutable {
-                      network_.send(edge_host_, client_host_, resp.wire_size(),
-                                    [this, resp, start, done = std::move(done)]() {
-                                      done(resp, network_.clock().now() - start);
+                    // The one copy a hit makes: the cached entry stays.
+                    network_.clock().schedule(config_.cache_lookup_s,
+                                              [this, resp = it->second.response, start,
+                                               done = std::move(done)]() mutable {
+                      const std::uint64_t bytes = resp.wire_size();
+                      network_.send(edge_host_, client_host_, bytes,
+                                    [this, resp = std::move(resp), start,
+                                     done = std::move(done)]() mutable {
+                                      done(std::move(resp), network_.clock().now() - start);
                                     });
                     });
                     return;
@@ -124,13 +131,14 @@ void BatchingProxy::flush() {
           std::uint64_t response_bytes = config_.framing_bytes;
           for (const http::HttpResponse& r : *responses) response_bytes += r.wire_size();
           network_.send(cloud_.name(), edge_host_, response_bytes, [this, batch, responses]() {
+            // A duplicated bulk delivery runs this loop again over the
+            // same shared responses, so each fan-out takes a copy.
             for (std::size_t j = 0; j < batch->size(); ++j) {
-              const http::HttpResponse resp = (*responses)[j];
               const double start = (*batch)[j].start;
-              auto done = (*batch)[j].done;
-              network_.send(edge_host_, client_host_, resp.wire_size(),
-                            [this, resp, start, done]() {
-                              done(resp, network_.clock().now() - start);
+              network_.send(edge_host_, client_host_, (*responses)[j].wire_size(),
+                            [this, resp = (*responses)[j], start,
+                             done = (*batch)[j].done]() mutable {
+                              done(std::move(resp), network_.clock().now() - start);
                             });
             }
           });

@@ -64,7 +64,8 @@ http::HttpResponse TwoTierDeployment::request_sync(const http::HttpRequest& req,
   while (!completion->done && network_.clock().step()) {
   }
   if (completion->done && latency_s) *latency_s = completion->latency;
-  return completion->response;
+  // A late duplicate sees `done` and returns before touching the response.
+  return std::move(completion->response);
 }
 
 ThreeTierDeployment::ThreeTierDeployment(const TransformResult& transform,
@@ -240,7 +241,8 @@ http::HttpResponse ThreeTierDeployment::request_sync(const http::HttpRequest& re
   while (!completion->done && network_.clock().step()) {
   }
   if (completion->done && latency_s) *latency_s = completion->latency;
-  return completion->response;
+  // A late duplicate sees `done` and returns before touching the response.
+  return std::move(completion->response);
 }
 
 std::size_t ThreeTierDeployment::crash_edge(std::size_t i, std::uint64_t keep_unsynced_bytes) {

@@ -1,5 +1,6 @@
 #include "json/value.h"
 
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <stdexcept>
@@ -36,6 +37,12 @@ void Object::set(std::string key, Value value) {
   }
   entries_.emplace_back(std::move(key), std::move(value));
 }
+
+void Object::append(std::string key, Value value) {
+  entries_.emplace_back(std::move(key), std::move(value));
+}
+
+void Object::reserve(std::size_t n) { entries_.reserve(n); }
 
 bool Object::erase(std::string_view key) {
   for (auto it = entries_.begin(); it != entries_.end(); ++it) {
@@ -149,15 +156,21 @@ void write_number(double d, std::string& out) {
     out += "null";  // JSON has no NaN/Inf
     return;
   }
-  if (d == std::floor(d) && std::abs(d) < 1e15) {
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%.0f", d);
-    out += buf;
-    return;
-  }
+  // Integral values below 1e15 print as plain integers (printf "%.0f",
+  // "-0" included); everything else in "%.17g" form. std::to_chars writes
+  // the same digits without printf's format parsing and locale lookups.
   char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.17g", d);
-  out += buf;
+  std::to_chars_result r;
+  if (d == std::floor(d) && std::abs(d) < 1e15) {
+    if (d == 0 && std::signbit(d)) {
+      out += "-0";
+      return;
+    }
+    r = std::to_chars(buf, buf + sizeof(buf), static_cast<std::int64_t>(d));
+  } else {
+    r = std::to_chars(buf, buf + sizeof(buf), d, std::chars_format::general, 17);
+  }
+  out.append(buf, r.ptr);
 }
 
 void indent_to(std::string& out, int indent, int depth) {
@@ -227,7 +240,6 @@ std::string Value::dump_pretty() const {
 }
 
 std::size_t Value::wire_size() const {
-  // Exact-enough accounting: reuse the serializer.
   return dump().size();
 }
 

@@ -32,6 +32,10 @@ class Object {
   Value& at(std::string_view key);
   /// Inserts or overwrites.
   void set(std::string key, Value value);
+  /// Appends a key the object does not hold yet, skipping set()'s
+  /// duplicate scan. For builders whose keys are unique by construction.
+  void append(std::string key, Value value);
+  void reserve(std::size_t n);
   /// Removes the key if present; returns whether it was present.
   bool erase(std::string_view key);
 
@@ -104,8 +108,8 @@ class Value {
   /// Serializes with 2-space indentation.
   std::string dump_pretty() const;
 
-  /// Approximate wire size in bytes (== dump().size(), computed without
-  /// materializing the string). Used for network accounting.
+  /// Wire size in bytes: the length of dump(), which it serializes to
+  /// measure. Used for network accounting.
   std::size_t wire_size() const;
 
   bool operator==(const Value& other) const;

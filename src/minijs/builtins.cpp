@@ -20,6 +20,30 @@ JsValue require_arg(std::vector<JsValue>& args, std::size_t i, const std::string
   return args[i];
 }
 
+// A bind parameter as a cell: the value SqlValue::from_json(p.to_json())
+// gives, without building the JSON. Arrays, objects and blobs take that
+// route anyway, so they fail exactly as before.
+sqldb::SqlValue to_sql(const JsValue& p) {
+  switch (p.type()) {
+    case JsValue::Type::kNull:
+    case JsValue::Type::kClosure:
+    case JsValue::Type::kNative: return sqldb::SqlValue();
+    case JsValue::Type::kBool: return sqldb::SqlValue(static_cast<std::int64_t>(p.as_bool()));
+    case JsValue::Type::kNumber: return sqldb::SqlValue::from_number(p.as_number());
+    case JsValue::Type::kString: return sqldb::SqlValue(p.as_string());
+    default: return sqldb::SqlValue::from_json(p.to_json());
+  }
+}
+
+// A result cell as a JS value: the value JsValue::from_json(cell.to_json())
+// gives, without building the JSON. Text moves out of the result set.
+JsValue to_js(sqldb::SqlValue& cell) {
+  if (cell.is_null()) return JsValue();
+  if (cell.is_int()) return JsValue(static_cast<double>(cell.as_int()));
+  if (cell.is_double()) return JsValue(cell.as_double());
+  return JsValue(cell.take_text());
+}
+
 // db.query(sql [, params]) — SELECT returns an array of row objects,
 // mutations return the affected-row count. The params array binds `?`s.
 JsValue db_query(Interpreter& interp, std::vector<JsValue>& args) {
@@ -27,19 +51,22 @@ JsValue db_query(Interpreter& interp, std::vector<JsValue>& args) {
   const std::string sql = require_arg(args, 0, "db.query").as_string();
   std::vector<sqldb::SqlValue> params;
   if (args.size() > 1 && args[1].is_array()) {
-    for (const JsValue& p : *args[1].as_array()) {
-      params.push_back(sqldb::SqlValue::from_json(p.to_json()));
-    }
+    params.reserve(args[1].as_array()->size());
+    for (const JsValue& p : *args[1].as_array()) params.push_back(to_sql(p));
   }
   sqldb::ResultSet result = interp.database()->execute(sql, params);
   if (!result.columns.empty() || !result.rows.empty()) {
+    // Each column name is interned once per query, not once per cell.
+    std::vector<util::Symbol> columns;
+    columns.reserve(result.columns.size());
+    for (const std::string& name : result.columns) columns.push_back(util::intern(name));
     auto rows = std::make_shared<JsArray>();
-    for (const auto& row : result.rows) {
+    rows->reserve(result.rows.size());
+    for (auto& row : result.rows) {
       auto obj = std::make_shared<JsObject>();
-      for (std::size_t i = 0; i < result.columns.size(); ++i) {
-        obj->set(result.columns[i], JsValue::from_json(row[i].to_json()));
-      }
-      rows->push_back(JsValue(std::move(obj)));
+      obj->reserve(columns.size());
+      for (std::size_t i = 0; i < columns.size(); ++i) obj->set(columns[i], to_js(row[i]));
+      rows->emplace_back(std::move(obj));
     }
     return JsValue(std::move(rows));
   }

@@ -11,7 +11,8 @@ namespace edgstr::minijs {
 Interpreter::Interpreter(Program program, Config config)
     : program_(std::move(program)),
       config_(config),
-      rng_(config.rng_seed) {
+      rng_(config.rng_seed),
+      step_limit_(config.max_steps) {
   // The bytecode compiler consumes (depth, slot) addresses, so the VM
   // implies the resolver.
   if (config_.vm) config_.resolve = true;
@@ -60,6 +61,7 @@ void Interpreter::register_route(http::Verb verb, const std::string& path, JsVal
 }
 
 void Interpreter::run_toplevel() {
+  const EntryBudget budget(*this);
   if (vm_) {
     vm_->run_toplevel();
     return;
@@ -122,6 +124,7 @@ http::HttpResponse Interpreter::invoke(const http::Route& route,
   if (it == routes_.end()) {
     return http::HttpResponse::error(404, "no handler for " + route.to_string());
   }
+  const EntryBudget budget(*this);
   response_sent_ = false;
   pending_status_ = 200;
   pending_response_ = JsValue();
@@ -149,6 +152,7 @@ http::HttpResponse Interpreter::invoke(const http::Route& route,
 }
 
 JsValue Interpreter::call_function(const JsValue& fn, std::vector<JsValue> args) {
+  const EntryBudget budget(*this);
   const util::Symbol name = fn.type() == JsValue::Type::kClosure ? fn.as_closure()->name_sym
                             : fn.type() == JsValue::Type::kNative ? fn.as_native()->name_sym
                                                                   : util::kNoSymbol;
@@ -157,6 +161,7 @@ JsValue Interpreter::call_function(const JsValue& fn, std::vector<JsValue> args)
 
 JsValue Interpreter::call_global(const std::string& name, std::vector<JsValue> args) {
   if (!globals_->has(name)) throw JsError("no such global function: " + name);
+  const EntryBudget budget(*this);
   const util::Symbol sym = util::intern(name);
   return hooks_ ? call_value<true>(globals_->get(name), sym, args)
                 : call_value<false>(globals_->get(name), sym, args);

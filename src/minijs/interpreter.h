@@ -19,6 +19,8 @@
 // branches or virtual dispatch at all.
 #pragma once
 
+#include <algorithm>
+#include <limits>
 #include <map>
 #include <memory>
 #include <stdexcept>
@@ -75,7 +77,9 @@ class InstrumentationHooks {
 
 /// Interpreter tuning knobs.
 struct InterpreterConfig {
-  std::uint64_t max_steps = 10'000'000;  ///< runaway-loop guard
+  /// Runaway-loop guard: steps one entry point (run_toplevel, invoke,
+  /// call_function, call_global) may take, nested calls included.
+  std::uint64_t max_steps = 10'000'000;
   std::uint64_t rng_seed = 7;            ///< for Math.random determinism
   int max_call_depth = 512;              ///< guards the host C++ stack
   bool resolve = true;  ///< run the static resolver (false -> named slow path)
@@ -187,6 +191,8 @@ class Interpreter {
   vfs::Vfs* vfs_ = nullptr;
   util::Rng rng_;
   std::uint64_t steps_ = 0;
+  std::uint64_t step_limit_ = 0;  ///< steps_ value the current entry may reach
+  int entry_depth_ = 0;           ///< nesting of public entry points
   std::uint64_t slot_reads_ = 0;
   std::uint64_t named_reads_ = 0;
   std::uint64_t slot_writes_ = 0;
@@ -207,10 +213,29 @@ class Interpreter {
   struct BreakSignal {};
   struct ContinueSignal {};
 
+  // The step budget belongs to the outermost entry point: entering it sets
+  // the limit max_steps past the lifetime counter, and a nested entry (a
+  // native calling back in) keeps the limit it finds. steps_ itself keeps
+  // counting over the interpreter's lifetime.
+  class EntryBudget {
+   public:
+    explicit EntryBudget(Interpreter& interp) : interp_(interp) {
+      if (interp_.entry_depth_++ > 0) return;
+      const std::uint64_t room = std::numeric_limits<std::uint64_t>::max() - interp_.steps_;
+      interp_.step_limit_ = interp_.steps_ + std::min(interp_.config_.max_steps, room);
+    }
+    ~EntryBudget() { --interp_.entry_depth_; }
+    EntryBudget(const EntryBudget&) = delete;
+    EntryBudget& operator=(const EntryBudget&) = delete;
+
+   private:
+    Interpreter& interp_;
+  };
+
   // One step of the runaway-loop guard. Inline: the VM calls this per
   // expression op, so an out-of-line call shows up in profiles.
   void tick() {
-    if (++steps_ > config_.max_steps) {
+    if (++steps_ > step_limit_) {
       throw JsError("step limit exceeded (possible infinite loop)");
     }
   }

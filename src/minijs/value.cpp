@@ -36,6 +36,11 @@ void JsObject::set(util::Symbol key, JsValue value) {
   syms_.push_back(key);
 }
 
+void JsObject::reserve(std::size_t n) {
+  entries_.reserve(n);
+  syms_.reserve(n);
+}
+
 bool JsObject::erase(const std::string& key) {
   const int idx = index_of(util::intern(key));
   if (idx < 0) return false;
@@ -194,12 +199,15 @@ json::Value JsValue::to_json() const {
     case Type::kString: return json::Value(std::get<std::string>(data_));
     case Type::kArray: {
       json::Array arr;
+      arr.reserve(as_array()->size());
       for (const JsValue& item : *as_array()) arr.push_back(item.to_json());
       return json::Value(std::move(arr));
     }
     case Type::kObject: {
+      // JsObject keys are unique, so entries append without set()'s scan.
       json::Object obj;
-      for (const auto& [k, v] : as_object()->entries()) obj.set(k, v.to_json());
+      obj.reserve(as_object()->size());
+      for (const auto& [k, v] : as_object()->entries()) obj.append(k, v.to_json());
       return json::Value(std::move(obj));
     }
     case Type::kBlob: {

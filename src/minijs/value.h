@@ -43,6 +43,7 @@ class JsObject {
   bool erase(const std::string& key);
   std::vector<std::string> keys() const;
   std::size_t size() const { return entries_.size(); }
+  void reserve(std::size_t n);
 
   const std::vector<std::pair<std::string, JsValue>>& entries() const { return entries_; }
 

@@ -115,14 +115,24 @@ VmValue Vm::run(const Chunk& chunk, std::shared_ptr<Environment> env) {
   // flush to the interpreter's counter when this frame unwinds (normally
   // or via JsError), so the per-op cost is an increment and a compare.
   // Cumulative totals stay exact on every exit path; the runaway-loop
-  // limit is enforced against this frame's remaining allowance.
+  // limit is enforced against what the current entry point's budget has
+  // left.
   struct TickGuard {
     Interpreter& interp;
     std::uint64_t ticks = 0;
     ~TickGuard() { interp.steps_ += ticks; }
   } tg{interp_};
-  const std::uint64_t tick_budget =
-      interp_.config_.max_steps - std::min(interp_.steps_, interp_.config_.max_steps);
+  std::uint64_t tick_budget = 0;
+  // Hands this frame's pending ticks to the interpreter and re-derives the
+  // frame's allowance from its count. Run around every call out of the
+  // frame and on landing in a catch, so callers and callees share one
+  // budget and the limit trips at the same step as on the tree-walker.
+  const auto settle_ticks = [&]() {
+    interp_.steps_ += tg.ticks;
+    tg.ticks = 0;
+    tick_budget = interp_.step_limit_ - std::min(interp_.steps_, interp_.step_limit_);
+  };
+  settle_ticks();
   const auto tick = [&]() {
     if (++tg.ticks > tick_budget) {
       throw JsError("step limit exceeded (possible infinite loop)");
@@ -963,14 +973,20 @@ VmValue Vm::run(const Chunk& chunk, std::shared_ptr<Environment> env) {
                   ++ic_misses_;
                   cache.target = closure.get();
                 }
-                push(invoke_chunked<WithHooks>(closure, name, args));
+                settle_ticks();
+                VmValue result = invoke_chunked<WithHooks>(closure, name, args);
+                settle_ticks();
+                push(std::move(result));
                 break;
               }
             }
             // Natives, chunk-less closures, and call-a-non-function errors
             // all route through the tree-walker's dispatcher.
             JsValue callee = calleev.to_js();
-            push(VmValue::from_js(interp_.call_value<WithHooks>(callee, name, args)));
+            settle_ticks();
+            JsValue result = interp_.call_value<WithHooks>(callee, name, args);
+            settle_ticks();
+            push(VmValue::from_js(std::move(result)));
             break;
           }
           case Op::kCallMethod: {
@@ -990,7 +1006,9 @@ VmValue Vm::run(const Chunk& chunk, std::shared_ptr<Environment> env) {
             const std::string& method = util::symbol_name(method_sym);
 
             bool handled = false;
+            settle_ticks();
             JsValue result = interp_.builtin_method<WithHooks>(receiver, method, args, handled);
+            settle_ticks();
             if (handled) {
               if constexpr (WithHooks) {
                 interp_.hooks_->on_invoke(interp_.current_stmt_, method_sym, args, result);
@@ -1018,7 +1036,9 @@ VmValue Vm::run(const Chunk& chunk, std::shared_ptr<Environment> env) {
                 }
               }
               if (fn.is_callable()) {
-                push(VmValue::from_js(interp_.call_value<WithHooks>(fn, method_sym, args)));
+                JsValue called = interp_.call_value<WithHooks>(fn, method_sym, args);
+                settle_ticks();
+                push(VmValue::from_js(std::move(called)));
                 break;
               }
             }
@@ -1276,6 +1296,7 @@ VmValue Vm::run(const Chunk& chunk, std::shared_ptr<Environment> env) {
       }
     } catch (JsError& err) {
       if (handlers_.size() <= guard.handler_base) throw;
+      settle_ticks();
       const Handler h = handlers_.back();
       handlers_.pop_back();
       stack_.resize(h.stack_depth);

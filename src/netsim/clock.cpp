@@ -17,7 +17,9 @@ void SimClock::schedule_at(SimTime when, std::function<void()> fn) {
 
 bool SimClock::step() {
   if (queue_.empty()) return false;
-  Event ev = queue_.top();
+  // Move the event out rather than copy it: its callback may own a whole
+  // response. pop() orders by (when, seq), which the move leaves intact.
+  Event ev = std::move(const_cast<Event&>(queue_.top()));
   queue_.pop();
   now_ = ev.when;
   ev.fn();

@@ -30,9 +30,10 @@ void TwoTierPath::request(const http::HttpRequest& req, RequestCallback done) {
                                           ExecutionResult result) mutable {
                     if (telemetry_) telemetry_->tracer().end_span(exec);
                     // Cloud -> client (WAN).
-                    const http::HttpResponse resp = result.response;
-                    network_.send(cloud_.name(), client_host_, resp.wire_size(),
-                                  [this, resp, start, root, done = std::move(done)]() {
+                    const std::uint64_t bytes = result.response.wire_size();
+                    network_.send(cloud_.name(), client_host_, bytes,
+                                  [this, resp = std::move(result.response), start, root,
+                                   done = std::move(done)]() mutable {
                                     const double latency = network_.clock().now() - start;
                                     if (telemetry_) {
                                       telemetry_->tracer().end_span(root);
@@ -43,7 +44,7 @@ void TwoTierPath::request(const http::HttpRequest& req, RequestCallback done) {
                                         ts->add(network_.clock().now(), "req.cloud");
                                       }
                                     }
-                                    done(resp, latency);
+                                    done(std::move(resp), latency);
                                   });
                 });
                 });
@@ -61,11 +62,13 @@ EdgeProxy::EdgeProxy(netsim::Network& network, std::string client_host, Node& ed
       cloud_sync_state_(cloud_sync_state),
       telemetry_(telemetry) {}
 
-void EdgeProxy::respond_to_client(const http::HttpResponse& resp, double start_time,
+void EdgeProxy::respond_to_client(http::HttpResponse resp, double start_time,
                                   RequestCallback done, obs::SpanId root, bool served_locally) {
-  // Edge -> client (LAN).
-  network_.send(edge_.name(), client_host_, resp.wire_size(),
-                [this, resp, start_time, root, served_locally, done = std::move(done)]() {
+  // Edge -> client (LAN). The size is taken before the capture moves resp.
+  const std::uint64_t bytes = resp.wire_size();
+  network_.send(edge_.name(), client_host_, bytes,
+                [this, resp = std::move(resp), start_time, root, served_locally,
+                 done = std::move(done)]() mutable {
                   const double latency = network_.clock().now() - start_time;
                   if (telemetry_) {
                     telemetry_->tracer().end_span(root);
@@ -77,7 +80,7 @@ void EdgeProxy::respond_to_client(const http::HttpResponse& resp, double start_t
                       ts->add(network_.clock().now(), std::string("req.") + kind);
                     }
                   }
-                  done(resp, latency);
+                  done(std::move(resp), latency);
                 });
 }
 
@@ -105,14 +108,14 @@ void EdgeProxy::forward_to_cloud(const http::HttpRequest& req, double start_time
                       cloud_sync_state_->record_local();
                       if (telemetry_) telemetry_->clear_active_context();
                     }
-                    const http::HttpResponse resp = result.response;
                     // Cloud -> edge (WAN).
-                    network_.send(cloud_.name(), edge_.name(), resp.wire_size(),
-                                  [this, resp, start_time, root, forward,
-                                   done = std::move(done)]() mutable {
+                    const std::uint64_t bytes = result.response.wire_size();
+                    network_.send(cloud_.name(), edge_.name(), bytes,
+                                  [this, resp = std::move(result.response), start_time, root,
+                                   forward, done = std::move(done)]() mutable {
                                     if (telemetry_) telemetry_->tracer().end_span(forward);
-                                    respond_to_client(resp, start_time, std::move(done), root,
-                                                      /*served_locally=*/false);
+                                    respond_to_client(std::move(resp), start_time, std::move(done),
+                                                      root, /*served_locally=*/false);
                                   });
                   });
                 });
@@ -166,7 +169,7 @@ void EdgeProxy::request(const http::HttpRequest& req, RequestCallback done) {
             if (telemetry_) telemetry_->clear_active_context();
           }
           if (telemetry_) telemetry_->tracer().end_span(serve);
-          respond_to_client(result.response, start, std::move(done), root,
+          respond_to_client(std::move(result.response), start, std::move(done), root,
                             /*served_locally=*/true);
         });
       });

@@ -82,7 +82,10 @@ class EdgeProxy {
 
   void forward_to_cloud(const http::HttpRequest& req, double start_time, RequestCallback done,
                         bool was_failure, obs::SpanId root);
-  void respond_to_client(const http::HttpResponse& resp, double start_time, RequestCallback done,
+  // Responses travel by value and are moved at every hop. A network
+  // callback owns its copy of the response: a duplicated delivery runs a
+  // separate copy of the callback, so moving out of it is safe.
+  void respond_to_client(http::HttpResponse resp, double start_time, RequestCallback done,
                          obs::SpanId root, bool served_locally);
 };
 

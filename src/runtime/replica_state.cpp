@@ -31,6 +31,11 @@ ReplicaState::ReplicaState(std::string replica_id, ServiceRuntime* service,
       replicated_files_(std::move(replicated_files)),
       replicated_globals_(std::move(replicated_globals)) {
   files_.attach_existing(replicated_files_);
+  if (!replicated_globals_.count("*")) {
+    for (const std::string& name : replicated_globals_) {
+      replicated_global_syms_.push_back(util::intern(name));
+    }
+  }
   // The globals unit reads from / writes back to the interpreter through
   // hooks, so the generic doc-unit loops need no special case for it.
   globals_.set_local_source([this] { return filtered_globals(); });
@@ -65,11 +70,15 @@ void ReplicaState::attach_existing() {
 }
 
 json::Value ReplicaState::filtered_globals() {
-  const json::Value all = trace::capture_globals(service_->interpreter());
-  const bool everything = replicated_globals_.count("*") > 0;
+  if (replicated_globals_.count("*")) return trace::capture_globals(service_->interpreter());
+  // Serialize only the replicated names. They come in the set's name order,
+  // the order capture_globals sorts into, so the JSON is the same as
+  // capturing every global and filtering.
+  minijs::Environment& env = *service_->interpreter().globals();
   json::Object out;
-  for (const auto& [name, value] : all.as_object()) {
-    if (everything || replicated_globals_.count(name)) out.set(name, value);
+  for (const util::Symbol sym : replicated_global_syms_) {
+    const minijs::JsValue* value = env.find_local(sym);
+    if (value && !value->is_callable()) out.append(util::symbol_name(sym), value->to_json());
   }
   return json::Value(std::move(out));
 }

@@ -22,6 +22,7 @@
 #include "durability/oplog_store.h"
 #include "obs/telemetry.h"
 #include "runtime/service_runtime.h"
+#include "util/intern.h"
 
 namespace edgstr::runtime {
 
@@ -162,6 +163,11 @@ class ReplicaState {
   crdt::CrdtJson& globals() { return globals_; }
   ServiceRuntime& service() { return *service_; }
 
+  /// The replicated globals as the globals unit harvests them: a name-sorted
+  /// JSON object of the live, non-callable globals named at construction
+  /// (every one for "*").
+  json::Value filtered_globals();
+
  private:
   std::string id_;
   ServiceRuntime* service_;
@@ -171,6 +177,8 @@ class ReplicaState {
   std::vector<DocUnit> units_;
   std::set<std::string> replicated_files_;
   std::set<std::string> replicated_globals_;
+  /// replicated_globals_ interned, in the set's (name) order; empty for "*".
+  std::vector<util::Symbol> replicated_global_syms_;
   obs::Telemetry* telemetry_ = nullptr;
   std::uint64_t rebirths_ = 0;  ///< crash count; suffixes the op origin
   durability::OpLogStore* durable_ = nullptr;
@@ -178,7 +186,6 @@ class ReplicaState {
   /// image and the in-memory compaction bound.
   std::map<std::string, crdt::Snapshot> checkpoint_;
 
-  json::Value filtered_globals();
   void materialize_globals(const std::vector<crdt::Op>& applied);
   void reseed_globals();
   /// Ops past `covered` that an install would destroy; throws when the

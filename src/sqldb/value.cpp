@@ -22,6 +22,11 @@ const std::string& SqlValue::as_text() const {
   throw std::logic_error("SqlValue: not text");
 }
 
+std::string SqlValue::take_text() {
+  if (auto* s = std::get_if<std::string>(&data_)) return std::move(*s);
+  throw std::logic_error("SqlValue: not text");
+}
+
 int SqlValue::compare(const SqlValue& other) const {
   // NULLs order first.
   if (is_null() && other.is_null()) return 0;
@@ -79,18 +84,17 @@ json::Value SqlValue::to_json() const {
 SqlValue SqlValue::from_json(const json::Value& v) {
   switch (v.type()) {
     case json::Value::Type::kNull: return SqlValue();
-    case json::Value::Type::kNumber: {
-      const double d = v.as_number();
-      if (d == std::floor(d) && std::abs(d) < 9.2e18) {
-        return SqlValue(static_cast<std::int64_t>(d));
-      }
-      return SqlValue(d);
-    }
+    case json::Value::Type::kNumber: return from_number(v.as_number());
     case json::Value::Type::kString: return SqlValue(v.as_string());
     case json::Value::Type::kBool: return SqlValue(static_cast<std::int64_t>(v.as_bool()));
     default:
       throw std::invalid_argument("SqlValue::from_json: unsupported JSON type");
   }
+}
+
+SqlValue SqlValue::from_number(double d) {
+  if (d == std::floor(d) && std::abs(d) < 9.2e18) return SqlValue(static_cast<std::int64_t>(d));
+  return SqlValue(d);
 }
 
 std::string SqlValue::to_string() const {

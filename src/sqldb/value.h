@@ -29,6 +29,8 @@ class SqlValue {
   std::int64_t as_int() const;
   double as_double() const;  ///< also converts ints
   const std::string& as_text() const;
+  /// Moves the text out, leaving this cell's string empty.
+  std::string take_text();
 
   /// SQL comparison; NULL compares equal only to NULL and is ordered first.
   /// Returns <0, 0, >0.
@@ -42,6 +44,9 @@ class SqlValue {
   /// Lossless JSON round trip used by snapshots and CRDT-Table payloads.
   json::Value to_json() const;
   static SqlValue from_json(const json::Value& v);
+  /// A JSON number as a cell: integral values within int64 range become
+  /// ints, the rest doubles (from_json's rule for numbers).
+  static SqlValue from_number(double d);
 
   std::string to_string() const;  ///< debug/printing form
 

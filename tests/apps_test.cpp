@@ -5,7 +5,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <limits>
 
 #include "apps/app.h"
 #include "trace/state_capture.h"
@@ -291,8 +290,6 @@ TEST(AppServingTest, LiveEnvironmentsStayFlatAcrossRequests) {
     for (const bool vm : {false, true}) {
       minijs::InterpreterConfig config;
       config.vm = vm;
-      // The step guard counts over the interpreter's lifetime.
-      config.max_steps = std::numeric_limits<std::uint64_t>::max();
       for (const http::Route& route : app->services) {
         SCOPED_TRACE(app->name + " " + route.to_string() + (vm ? " (vm)" : " (tree-walker)"));
         const auto it = std::find_if(app->workload.begin(), app->workload.end(),

@@ -1,5 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <cfloat>
+#include <cmath>
+#include <cstdio>
+#include <cstring>
+#include <limits>
+#include <random>
+
 #include "json/parse.h"
 #include "json/value.h"
 
@@ -78,6 +85,72 @@ TEST(JsonDumpTest, EscapesSpecialCharacters) {
 TEST(JsonDumpTest, IntegersRenderWithoutDecimalPoint) {
   EXPECT_EQ(Value(42.0).dump(), "42");
   EXPECT_EQ(Value(-3.0).dump(), "-3");
+}
+
+// The printf forms the number writer replaced: "%.0f" for integral values
+// below 1e15, "%.17g" otherwise, null for NaN and infinities.
+std::string printf_number(double d) {
+  if (std::isnan(d) || std::isinf(d)) return "null";
+  char buf[32];
+  if (d == std::floor(d) && std::abs(d) < 1e15) {
+    std::snprintf(buf, sizeof(buf), "%.0f", d);
+  } else {
+    std::snprintf(buf, sizeof(buf), "%.17g", d);
+  }
+  return buf;
+}
+
+TEST(JsonDumpTest, NumbersMatchPrintfForms) {
+  const double two53 = 9007199254740992.0;
+  std::vector<double> corpus = {0.0,
+                                -0.0,
+                                std::numeric_limits<double>::quiet_NaN(),
+                                std::numeric_limits<double>::infinity(),
+                                -std::numeric_limits<double>::infinity(),
+                                1e15 - 1,
+                                -(1e15 - 1),
+                                1e15,
+                                -1e15,
+                                1e15 + 0.5,
+                                two53 - 1,
+                                two53 + 1,
+                                -(two53 + 1),
+                                0.1,
+                                -0.1,
+                                5e-324,
+                                DBL_MIN,
+                                DBL_MAX,
+                                -DBL_MAX,
+                                1e-5,
+                                123.456,
+                                1e21,
+                                -0.5};
+  std::mt19937_64 rng(20240611);
+  for (int i = 0; i < 10'000; ++i) {
+    switch (i % 4) {
+      case 0: {  // any bit pattern: every exponent, subnormals, NaNs
+        const std::uint64_t bits = rng();
+        double d;
+        std::memcpy(&d, &bits, sizeof(d));
+        corpus.push_back(d);
+        break;
+      }
+      case 1:  // integers up to 2^60, either side of the 1e15 cut-off
+        corpus.push_back(static_cast<double>(static_cast<std::int64_t>(rng() >> 3)) *
+                         (rng() % 2 ? 1 : -1) / static_cast<double>(1ULL << (rng() % 64)));
+        break;
+      case 2:  // plain integers below the cut-off
+        corpus.push_back(static_cast<double>(static_cast<std::int64_t>(rng() % 2'000'000'000'000'000ULL) -
+                                             1'000'000'000'000'000LL));
+        break;
+      default:  // decimals across magnitudes
+        corpus.push_back(std::uniform_real_distribution<double>(-1, 1)(rng) *
+                         std::pow(10.0, static_cast<double>(static_cast<int>(rng() % 40) - 20)));
+    }
+  }
+  for (const double d : corpus) {
+    EXPECT_EQ(Value(d).dump(), printf_number(d)) << "bits of " << printf_number(d);
+  }
 }
 
 TEST(JsonDumpTest, WireSizeMatchesDump) {

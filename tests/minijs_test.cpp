@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <memory>
 
 #include "apps/app.h"
@@ -493,6 +494,142 @@ TEST(MiniJsInterp, DepthResetsAfterGuardTrips) {
   ok.params = json::Value::object({{"n", 5}});
   EXPECT_DOUBLE_EQ(
       interp.invoke(http::Route{http::Verb::kGet, "/deep"}, ok).body["v"].as_number(), 0.0);
+}
+
+// The step budget is per entry point, not per interpreter lifetime: a
+// long-lived service keeps serving after its total steps pass many budgets,
+// a runaway handler still trips the guard, and a native that calls back into
+// the interpreter does not start a fresh budget. Callers and callees share
+// the budget, so both engines trip it at the same step.
+TEST(MiniJsInterp, StepBudgetIsPerEntryPoint) {
+  for (const bool vm : {false, true}) {
+    SCOPED_TRACE(vm ? "vm" : "tree-walker");
+    InterpreterConfig cfg;
+    cfg.max_steps = 50'000;
+    cfg.vm = vm;
+    Interpreter interp(parse_program(R"JS(
+      app.get("/work", function (req, res) {
+        var s = 0;
+        for (var i = 0; i < 200; i = i + 1) { s = s + i; }
+        res.send({ s: s });
+      });
+      app.get("/spin", function (req, res) { while (true) {} });
+      function inner() { var i = 0; while (i < 30) { i = i + 1; } return i; }
+      app.get("/split", function (req, res) {
+        while (true) { var j = 0; while (j < 30) { j = j + 1; } inner(); }
+      });
+      app.get("/nested", function (req, res) {
+        var k = 0;
+        while (k < 100000) { callBack(function () { return 1; }); k = k + 1; }
+        res.send({ k: k });
+      });
+    )JS"), cfg);
+    interp.globals()->define(
+        "callBack", JsValue(std::make_shared<NativeFunction>(
+                        "callBack", [](Interpreter& in, std::vector<JsValue>& args) {
+                          return in.call_function(args.at(0), {});
+                        })));
+    interp.run_toplevel();
+    const auto call = [&](const std::string& path) {
+      http::HttpRequest req;
+      req.path = path;
+      return interp.invoke(http::Route{http::Verb::kGet, path}, req);
+    };
+    const auto expect_limit = [&](const std::string& path) {
+      try {
+        call(path);
+        FAIL() << path << ": expected JsError";
+      } catch (const JsError& err) {
+        EXPECT_NE(std::string(err.what()).find("step limit exceeded"), std::string::npos);
+      }
+    };
+    int served = 0;
+    while (interp.steps() <= 10 * cfg.max_steps) {
+      ASSERT_DOUBLE_EQ(call("/work").body["s"].as_number(), 19900.0) << "request " << served;
+      ++served;
+    }
+    EXPECT_GT(served, 10);
+    expect_limit("/spin");
+    expect_limit("/nested");
+    const std::uint64_t before = interp.steps();
+    expect_limit("/split");
+    EXPECT_EQ(interp.steps() - before, cfg.max_steps + 1);
+    // A tripped guard does not poison the next request.
+    EXPECT_DOUBLE_EQ(call("/work").body["s"].as_number(), 19900.0);
+  }
+}
+
+// db.query turns result cells into JS values directly. Every row must equal
+// the one the JSON route builds (JsValue::from_json(cell.to_json())), both
+// as a value and once serialized.
+TEST(MiniJsBuiltins, DbQueryRowsMatchTheJsonRoute) {
+  sqldb::Database db;
+  db.execute("CREATE TABLE cells (id, v)");
+  const std::vector<sqldb::SqlValue> cells = {
+      sqldb::SqlValue(),
+      sqldb::SqlValue(std::int64_t{42}),
+      sqldb::SqlValue(std::int64_t{(std::int64_t{1} << 53) + 1}),
+      sqldb::SqlValue(2.5),
+      sqldb::SqlValue(-0.0),
+      sqldb::SqlValue(std::string("q\"uote b\\slash \n\t\x01\x1f end"))};
+  for (std::size_t i = 0; i < cells.size(); ++i) {
+    db.execute("INSERT INTO cells (id, v) VALUES (?, ?)",
+               {sqldb::SqlValue(static_cast<std::int64_t>(i)), cells[i]});
+  }
+  Interpreter interp(parse_program("var rows = db.query(\"SELECT * FROM cells\");"));
+  interp.bind_database(&db);
+  interp.run_toplevel();
+  const JsValue& rows = interp.globals()->get("rows");
+
+  const sqldb::ResultSet expected = db.execute("SELECT * FROM cells");
+  ASSERT_EQ(rows.as_array()->size(), cells.size());
+  ASSERT_EQ(expected.rows.size(), cells.size());
+  for (std::size_t r = 0; r < cells.size(); ++r) {
+    SCOPED_TRACE("row " + std::to_string(r));
+    auto want = std::make_shared<JsObject>();
+    for (std::size_t c = 0; c < expected.columns.size(); ++c) {
+      want->set(expected.columns[c], JsValue::from_json(expected.rows[r][c].to_json()));
+    }
+    const JsValue& got = (*rows.as_array())[r];
+    EXPECT_TRUE(got.equals(JsValue(want)));
+    EXPECT_EQ(got.to_json().dump(), JsValue(want).to_json().dump());
+  }
+  const JsValue neg_zero = (*rows.as_array())[4].as_object()->get("v");
+  EXPECT_TRUE(std::signbit(neg_zero.as_number()));
+  EXPECT_EQ((*rows.as_array())[2].as_object()->get("v").to_json().dump(), "9007199254740992");
+}
+
+// Bind parameters become cells directly too: each must equal
+// SqlValue::from_json(param.to_json()), type included.
+TEST(MiniJsBuiltins, DbQueryParamsMatchTheJsonRoute) {
+  sqldb::Database db;
+  db.execute("CREATE TABLE cells (id, v)");
+  Interpreter interp(parse_program(
+      "function put(i, v) { return db.query(\"INSERT INTO cells (id, v) VALUES (?, ?)\", [i, v]); }"
+      "function nothing() { return 0; }"));
+  interp.bind_database(&db);
+  interp.run_toplevel();
+  const std::vector<JsValue> params = {
+      JsValue(),          JsValue(true),   JsValue(false),  JsValue(7.0),
+      JsValue(-0.0),      JsValue(2.5),    JsValue(1e300),  JsValue(9.5e18),
+      JsValue(-9.1e18),   JsValue("s\"q"), interp.globals()->get("nothing")};
+  for (std::size_t i = 0; i < params.size(); ++i) {
+    interp.call_global("put", {JsValue(static_cast<double>(i)), params[i]});
+  }
+  const sqldb::ResultSet stored = db.execute("SELECT * FROM cells");
+  ASSERT_EQ(stored.rows.size(), params.size());
+  for (std::size_t i = 0; i < params.size(); ++i) {
+    SCOPED_TRACE("param " + std::to_string(i));
+    const sqldb::SqlValue want = sqldb::SqlValue::from_json(params[i].to_json());
+    const sqldb::SqlValue& got = stored.rows[i][1];
+    EXPECT_EQ(got.is_null(), want.is_null());
+    EXPECT_EQ(got.is_int(), want.is_int());
+    EXPECT_EQ(got.is_double(), want.is_double());
+    EXPECT_EQ(got.to_json().dump(), want.to_json().dump());
+  }
+  // Containers are not cells: both routes reject them alike.
+  EXPECT_THROW(interp.call_global("put", {JsValue(99.0), JsValue::new_array()}),
+               std::invalid_argument);
 }
 
 TEST(MiniJsBuiltins, PadBuildsExactSizes) {

@@ -9,6 +9,7 @@
 #include "runtime/batch_budget.h"
 #include "runtime/replication_graph.h"
 #include "runtime/sync_engine.h"
+#include "trace/state_capture.h"
 
 namespace edgstr::core {
 namespace {
@@ -76,6 +77,46 @@ struct GraphWorld {
 };
 
 // ------------------------------------------------------ graph construction --
+
+// The route filtered_globals() replaced: capture every non-callable global,
+// then keep the replicated names ("*" keeps all).
+json::Value capture_then_filter(minijs::Interpreter& interp, const std::set<std::string>& names) {
+  const json::Value all = trace::capture_globals(interp);
+  json::Object out;
+  for (const auto& [name, value] : all.as_object()) {
+    if (names.count("*") || names.count(name)) out.set(name, value);
+  }
+  return json::Value(std::move(out));
+}
+
+// The globals unit serializes only the replicated globals, yet harvests the
+// same JSON as capturing all of them and filtering, for every subject app
+// after its workload, for a "*" replica, and for names that are missing,
+// builtins, or functions.
+TEST(ReplicaGlobalsTest, FilteredGlobalsMatchCaptureThenFilter) {
+  for (const apps::SubjectApp* app : apps::all_subject_apps()) {
+    SCOPED_TRACE(app->name);
+    const http::TrafficRecorder traffic = record_traffic(app->server_source, app->workload);
+    const TransformResult t = Pipeline().transform(app->name, app->server_source, traffic);
+    ASSERT_TRUE(t.ok) << t.error;
+    std::set<std::string> odd = t.replicated_globals;
+    odd.insert({"noSuchGlobal", "Math", "db"});
+    runtime::ServiceRuntime probe(app->server_source);
+    probe.interpreter().globals()->each_local([&](util::Symbol sym, const minijs::JsValue& v) {
+      if (v.is_callable()) odd.insert(util::symbol_name(sym));
+    });
+    for (const std::set<std::string>& names :
+         {t.replicated_globals, std::set<std::string>{"*"}, odd}) {
+      runtime::ServiceRuntime service(app->server_source);
+      runtime::ReplicaState replica("edge0", &service, t.replicated_files, names);
+      EXPECT_EQ(replica.filtered_globals().dump(),
+                capture_then_filter(service.interpreter(), names).dump());
+      for (const http::HttpRequest& req : app->workload) service.handle(req);
+      EXPECT_EQ(replica.filtered_globals().dump(),
+                capture_then_filter(service.interpreter(), names).dump());
+    }
+  }
+}
 
 TEST(ReplicationGraphTest, RejectsBadLinks) {
   GraphWorld w(2);

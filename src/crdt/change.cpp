@@ -1,23 +1,44 @@
 #include "crdt/change.h"
 
 #include <algorithm>
-#include <cassert>
 #include <stdexcept>
 
 namespace edgstr::crdt {
+
+const json::Value& Op::payload() const {
+  static const json::Value kNull;
+  return payload_ ? payload_->value : kNull;
+}
+
+void Op::set_payload(json::Value payload) {
+  auto body = std::make_shared<Payload>();
+  body->value = std::move(payload);
+  payload_ = std::move(body);
+}
 
 json::Value Op::to_json() const {
   return json::Value::object({{"origin", origin},
                               {"seq", static_cast<double>(seq)},
                               {"stamp", stamp.to_json()},
-                              {"payload", payload}});
+                              {"payload", payload()}});
 }
 
 std::uint64_t Op::wire_size() const {
-  if (cached_wire_size_ == 0) cached_wire_size_ = to_json().wire_size();
-  // Micro-assertion: an op must not change after its size was cached.
-  assert(cached_wire_size_ == to_json().wire_size() && "Op mutated after wire_size()");
-  return cached_wire_size_;
+  // to_json() is {"origin":O,"seq":N,"stamp":{"c":C,"r":R},"payload":P}.
+  static constexpr std::size_t kFraming =
+      sizeof(R"({"origin":,"seq":,"stamp":{"c":,"r":},"payload":})") - 1;
+  std::size_t payload_size = 4;  // "null"
+  if (payload_) {
+    payload_size = payload_->wire_size.load();
+    if (payload_size == 0) {  // no JSON value serializes to 0 bytes
+      payload_size = payload_->value.wire_size();
+      payload_->wire_size.store(payload_size);
+    }
+  }
+  return kFraming + json::string_wire_size(origin) +
+         json::number_wire_size(static_cast<double>(seq)) +
+         json::number_wire_size(static_cast<double>(stamp.counter)) +
+         json::string_wire_size(stamp.replica) + payload_size;
 }
 
 Op Op::from_json(const json::Value& v) {
@@ -25,13 +46,15 @@ Op Op::from_json(const json::Value& v) {
   op.origin = v["origin"].as_string();
   op.seq = static_cast<std::uint64_t>(v["seq"].as_number());
   op.stamp = Stamp::from_json(v["stamp"]);
-  op.payload = v["payload"];
+  op.set_payload(v["payload"]);
   return op;
 }
 
 json::Value version_to_json(const VersionVector& version) {
   json::Object obj;
-  for (const auto& [replica, seq] : version) obj.set(replica, static_cast<double>(seq));
+  obj.reserve(version.size());
+  // Keys come from a std::map, so they are unique: append, never set.
+  for (const auto& [replica, seq] : version) obj.append(replica, static_cast<double>(seq));
   return json::Value(std::move(obj));
 }
 
@@ -48,7 +71,7 @@ Op OpLog::make_local(json::Value payload) {
   op.origin = replica_;
   op.seq = version_[replica_] + 1;
   op.stamp = Stamp{++lamport_, replica_};
-  op.payload = std::move(payload);
+  op.set_payload(std::move(payload));
   return op;
 }
 
@@ -68,6 +91,7 @@ bool OpLog::record(const Op& op) {
                            std::to_string(op.seq) + ", expected " + std::to_string(expected) + ")");
   }
   version_[op.origin] = op.seq;
+  by_origin_[op.origin].push_back(ops_.size());
   ops_.push_back(op);
   observe(op.stamp);
   return true;
@@ -79,6 +103,7 @@ void OpLog::observe(const Stamp& stamp) {
 
 void OpLog::reset_to(const VersionVector& covered, std::uint64_t lamport) {
   ops_.clear();
+  by_origin_.clear();
   version_ = covered;
   floor_ = covered;
   if (lamport > lamport_) lamport_ = lamport;
@@ -106,6 +131,7 @@ std::size_t OpLog::compact(const VersionVector& acked) {
     auto it = floor_.find(origin);
     if (it == floor_.end() || it->second < seq) floor_[origin] = seq;
   }
+  if (ops_.size() != before) rebuild_index();
   return before - ops_.size();
 }
 
@@ -119,17 +145,35 @@ bool OpLog::can_serve(const VersionVector& known) const {
 }
 
 std::vector<Op> OpLog::changes_since(const VersionVector& known) const {
-  std::vector<Op> out;
-  for (const Op& op : ops_) {
-    auto it = known.find(op.origin);
+  // Each origin's positions hold ascending seqs, so what the peer lacks is
+  // a suffix of them; the suffixes merged by position are the log order.
+  std::vector<std::size_t> picks;
+  std::size_t origins_picked = 0;
+  for (const auto& [origin, positions] : by_origin_) {
+    auto it = known.find(origin);
     const std::uint64_t have = it == known.end() ? 0 : it->second;
-    if (op.seq > have) out.push_back(op);
+    const auto first = std::partition_point(
+        positions.begin(), positions.end(),
+        [&](std::size_t pos) { return ops_[pos].seq <= have; });
+    if (first == positions.end()) continue;
+    picks.insert(picks.end(), first, positions.end());
+    ++origins_picked;
   }
+  if (origins_picked > 1) std::sort(picks.begin(), picks.end());
+  std::vector<Op> out;
+  out.reserve(picks.size());
+  for (const std::size_t pos : picks) out.push_back(ops_[pos]);
   return out;
+}
+
+void OpLog::rebuild_index() {
+  by_origin_.clear();
+  for (std::size_t pos = 0; pos < ops_.size(); ++pos) by_origin_[ops_[pos].origin].push_back(pos);
 }
 
 json::Value OpLog::to_json() const {
   json::Array ops;
+  ops.reserve(ops_.size());
   for (const Op& op : ops_) ops.push_back(op.to_json());
   // version and floor are carried explicitly: after compaction the retained
   // ops alone no longer determine either (a restored log must keep refusing
@@ -147,12 +191,20 @@ void OpLog::restore(const json::Value& v) {
   // peer's origin. The serialized "replica" field is provenance only.
   lamport_ = static_cast<std::uint64_t>(v["lamport"].as_number());
   ops_.clear();
+  by_origin_.clear();
   version_.clear();
   floor_.clear();
   for (const json::Value& op : v["ops"].as_array()) {
-    const Op parsed = Op::from_json(op);
-    version_[parsed.origin] = parsed.seq;
-    ops_.push_back(parsed);
+    Op parsed = Op::from_json(op);
+    std::uint64_t& last = version_[parsed.origin];
+    if (parsed.seq <= last) {
+      // changes_since() binary-searches each origin's ops by seq.
+      throw std::invalid_argument("OpLog::restore: ops of " + parsed.origin +
+                                  " are not in ascending seq order");
+    }
+    last = parsed.seq;
+    by_origin_[parsed.origin].push_back(ops_.size());
+    ops_.push_back(std::move(parsed));
   }
   // Older serializations carried only the ops; derive what we can.
   if (const json::Value* version = v.find("version")) version_ = version_from_json(*version);

@@ -9,8 +9,10 @@
 // origin+seq), which is what makes the merge conflict-free.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -38,26 +40,43 @@ struct Stamp {
   }
 };
 
-/// One replicated operation. Treated as immutable once fully constructed
-/// (the fields are filled in and never touched again), which is what lets
-/// wire_size() cache its result.
+/// One replicated operation. The payload is immutable and shared: every
+/// copy of an Op — the log's, a changes_since() result, a SyncMessage's,
+/// and an LwwMap entry aliasing into it (share()) — points at one
+/// json::Value that nobody can change, which also caches its wire size.
+/// Copying an Op copies two short strings and bumps a reference count.
 struct Op {
   std::string origin;      ///< replica that generated the op
   std::uint64_t seq = 0;   ///< contiguous per-origin sequence number
   Stamp stamp;             ///< Lamport stamp for LWW resolution
-  json::Value payload;     ///< CRDT-type-specific content
+
+  /// CRDT-type-specific content (null until set_payload()).
+  const json::Value& payload() const;
+  /// Replaces the payload with a fresh shared one.
+  void set_payload(json::Value payload);
+  /// Shares `part` — payload() itself or a value inside it — without
+  /// copying: the pointer keeps the whole payload alive.
+  std::shared_ptr<const json::Value> share(const json::Value& part) const {
+    return std::shared_ptr<const json::Value>(payload_, &part);
+  }
 
   json::Value to_json() const;
   static Op from_json(const json::Value& v);
 
-  /// Self-describing per-op JSON size, used by sync byte accounting on
-  /// every shipped op. Serializing the op is much more expensive than the
-  /// accounting it feeds, so the size is computed once and cached; debug
-  /// builds re-verify the cache against a fresh serialization.
+  /// to_json().wire_size() — the self-describing per-op size that sync
+  /// byte accounting charges for every shipped op — summed from the fixed
+  /// framing and the parts' sizes, never by building the JSON. The
+  /// payload's share is computed once and cached in the shared payload.
   std::uint64_t wire_size() const;
 
  private:
-  mutable std::uint64_t cached_wire_size_ = 0;  ///< 0 = not yet computed
+  struct Payload {
+    json::Value value;
+    /// value.wire_size(), or 0 until first asked. Copies of an Op on
+    /// different lanes may ask at once; they store the same number.
+    mutable std::atomic<std::size_t> wire_size{0};
+  };
+  std::shared_ptr<const Payload> payload_;
 };
 
 /// Version vector: highest contiguous seq applied per origin replica.
@@ -82,16 +101,20 @@ class OpLog {
   void set_origin(std::string origin) { replica_ = std::move(origin); }
 
   /// Creates a new local op with the next seq and a fresh Lamport stamp.
+  /// Does not record it.
   Op make_local(json::Value payload);
 
   /// Records an op (local or remote). Returns false when it was already
-  /// known (idempotent delivery).
+  /// known (idempotent delivery). The log shares the op's payload.
   bool record(const Op& op);
 
   /// True if (origin, seq) has been recorded.
   bool seen(const std::string& origin, std::uint64_t seq) const;
 
-  /// Ops the peer with `known` lacks, in (origin, seq) order.
+  /// Ops the peer with `known` lacks, in log order (so each origin's ops
+  /// come in ascending, gap-free seq order). O(Δ log Δ) in the ops
+  /// returned plus O(origins): each origin's suffix past known[origin] is
+  /// found by binary search in the per-origin index, never by a scan.
   std::vector<Op> changes_since(const VersionVector& known) const;
 
   /// Drops ops every peer has already acknowledged: an op (origin, seq) is
@@ -131,16 +154,23 @@ class OpLog {
 
   /// Serializes ops + version + floor + lamport (the "replica" field is
   /// provenance only; restore() keeps this log's own identity so a peer's
-  /// bootstrap payload cannot hijack the local origin).
+  /// bootstrap payload cannot hijack the local origin). restore() throws
+  /// std::invalid_argument when an origin's ops are not in ascending seq
+  /// order, which no to_json() produces.
   json::Value to_json() const;
   void restore(const json::Value& v);
 
  private:
   std::string replica_;
   std::vector<Op> ops_;
+  /// Per origin, the ascending positions in ops_ of its ops; their seqs
+  /// ascend too. record(), compact(), reset_to() and restore() keep it.
+  std::map<std::string, std::vector<std::size_t>> by_origin_;
   VersionVector version_;
   VersionVector floor_;  ///< highest compacted seq per origin
   std::uint64_t lamport_ = 0;
+
+  void rebuild_index();
 };
 
 /// Pointwise minimum of version vectors (missing components count as 0).

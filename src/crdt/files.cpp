@@ -51,7 +51,7 @@ void CrdtFiles::attach_existing(std::set<std::string> replicated_paths) {
 }
 
 bool CrdtFiles::materialize_path(const std::string& path, std::string* out) const {
-  const std::optional<json::Value> base = files_.get(path);
+  const json::Value* base = files_.find(path);
   if (!base) return false;
   std::string content = base->as_string();
   auto it = appends_.find(path);
@@ -126,7 +126,7 @@ std::size_t CrdtFiles::record_local_changes() {
       Op op = log_.make_local(json::Value::object(
           {{"type", "put"}, {"path", path}, {"contents", contents}}));
       log_.record(op);
-      files_.put(path, json::Value(contents), op.stamp);
+      files_.put(path, op.share(op.payload()["contents"]), op.stamp);
       appends_[path].clear();  // rewrite supersedes the tail
     }
     last_contents_[path] = contents;
@@ -161,19 +161,19 @@ std::size_t CrdtFiles::applyChanges(const std::vector<Op>& ops) {
     // recovers its *own* earlier ops from peers through the same path.
     if (log_.seen(op.origin, op.seq)) continue;
     log_.record(op);
-    const std::string& type = op.payload["type"].as_string();
-    const std::string& path = op.payload["path"].as_string();
+    const std::string& type = op.payload()["type"].as_string();
+    const std::string& path = op.payload()["path"].as_string();
     if (type == "put") {
       // A rewrite wins over the base by stamp; it also supersedes every
       // append older than it. Appends concurrent-or-newer survive on top.
-      files_.put(path, op.payload["contents"], op.stamp);
+      files_.put(path, op.share(op.payload()["contents"]), op.stamp);
       auto& tail = appends_[path];
       tail.erase(std::remove_if(tail.begin(), tail.end(),
                                 [&](const AppendEntry& e) { return e.stamp < op.stamp; }),
                  tail.end());
     } else if (type == "append") {
       auto& tail = appends_[path];
-      const AppendEntry entry{op.stamp, op.payload["data"].as_string()};
+      const AppendEntry entry{op.stamp, op.payload()["data"].as_string()};
       tail.insert(std::upper_bound(tail.begin(), tail.end(), entry), entry);
     } else {  // del
       files_.remove(path, op.stamp);
@@ -196,7 +196,7 @@ json::Value CrdtFiles::bootstrap_state() const {
       entries.push_back(
           json::Value::object({{"stamp", entry.stamp.to_json()}, {"data", entry.data}}));
     }
-    appends.set(path, json::Value(std::move(entries)));
+    appends.append(path, json::Value(std::move(entries)));  // map keys: unique
   }
   return json::Value::object({{"files", files_.to_json()},
                               {"appends", json::Value(std::move(appends))},
@@ -230,7 +230,7 @@ Snapshot CrdtFiles::cut_snapshot() const {
       entries.push_back(
           json::Value::object({{"stamp", entry.stamp.to_json()}, {"data", entry.data}}));
     }
-    appends.set(path, json::Value(std::move(entries)));
+    appends.append(path, json::Value(std::move(entries)));  // map keys: unique
   }
   Snapshot snap;
   snap.state = json::Value::object(
@@ -259,10 +259,10 @@ void CrdtFiles::install_snapshot(const Snapshot& snap) {
 }
 
 std::string CrdtFiles::state_digest() const {
-  json::Object view;
+  json::Object view;  // keys() are unique: append, never set
   for (const std::string& path : files_.keys()) {
     std::string content;
-    if (materialize_path(path, &content)) view.set(path, json::Value(std::move(content)));
+    if (materialize_path(path, &content)) view.append(path, json::Value(std::move(content)));
   }
   return json::Value(std::move(view)).dump();
 }

@@ -14,10 +14,14 @@ void CrdtJson::initialize(const json::Value& snapshot) {
 }
 
 void CrdtJson::set(const std::string& key, json::Value value) {
-  Op op = log_.make_local(
-      json::Value::object({{"type", "set"}, {"key", key}, {"value", value}}));
+  json::Object payload;
+  payload.reserve(3);
+  payload.append("type", "set");
+  payload.append("key", key);
+  payload.append("value", std::move(value));
+  Op op = log_.make_local(json::Value(std::move(payload)));
   log_.record(op);
-  state_.put(key, std::move(value), op.stamp);
+  state_.put(key, op.share(op.payload()["value"]), op.stamp);
 }
 
 void CrdtJson::remove(const std::string& key) {
@@ -30,7 +34,7 @@ std::size_t CrdtJson::sync_from(const json::Value& current) {
   std::size_t ops = 0;
   // New or changed keys.
   for (const auto& [key, value] : current.as_object()) {
-    const std::optional<json::Value> existing = state_.get(key);
+    const json::Value* existing = state_.find(key);
     if (!existing || !(*existing == value)) {
       set(key, value);
       ++ops;
@@ -46,13 +50,14 @@ std::size_t CrdtJson::sync_from(const json::Value& current) {
   return ops;
 }
 
-void CrdtJson::apply_payload(const json::Value& payload, const Stamp& stamp) {
+void CrdtJson::apply_payload(const Op& op) {
+  const json::Value& payload = op.payload();
   const std::string& type = payload["type"].as_string();
   const std::string& key = payload["key"].as_string();
   if (type == "set") {
-    state_.put(key, payload["value"], stamp);
+    state_.put(key, op.share(payload["value"]), op.stamp);
   } else if (type == "del") {
-    state_.remove(key, stamp);
+    state_.remove(key, op.stamp);
   }
 }
 
@@ -63,7 +68,7 @@ std::size_t CrdtJson::applyChanges(const std::vector<Op>& ops) {
     // recovers its *own* earlier ops from peers through the same path.
     if (log_.seen(op.origin, op.seq)) continue;
     log_.record(op);
-    apply_payload(op.payload, op.stamp);
+    apply_payload(op);
     ++applied;
   }
   return applied;
@@ -97,8 +102,11 @@ void CrdtJson::install_snapshot(const Snapshot& snap) {
 }
 
 json::Value CrdtJson::materialize() const {
+  // Keys come from keys(), so they are unique: append, never set.
+  const std::vector<std::string> keys = state_.keys();
   json::Object obj;
-  for (const std::string& key : state_.keys()) obj.set(key, *state_.get(key));
+  obj.reserve(keys.size());
+  for (const std::string& key : keys) obj.append(key, *state_.find(key));
   return json::Value(std::move(obj));
 }
 

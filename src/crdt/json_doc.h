@@ -45,6 +45,9 @@ class CrdtJson : public ReplicatedDoc {
   void remove(const std::string& key);
 
   std::optional<json::Value> get(const std::string& key) const { return state_.get(key); }
+  /// The live value for a key, or nullptr, without copying it (see
+  /// LwwMap::find).
+  const json::Value* find(const std::string& key) const { return state_.find(key); }
   std::vector<std::string> keys() const { return state_.keys(); }
 
   /// Diffs `current` (an object of key->value) against the replicated
@@ -95,7 +98,7 @@ class CrdtJson : public ReplicatedDoc {
   std::function<json::Value()> source_;
   std::function<void(const std::vector<Op>&)> apply_hook_;
 
-  void apply_payload(const json::Value& payload, const Stamp& stamp);
+  void apply_payload(const Op& op);
 };
 
 }  // namespace edgstr::crdt

@@ -12,14 +12,20 @@ std::uint64_t mix64(std::uint64_t z) {
   return z ^ (z >> 31);
 }
 
+std::uint64_t combine(std::uint64_t key_hash, std::uint64_t value_hash) {
+  return mix64(key_hash * 0x9e3779b97f4a7c15ULL + value_hash);
+}
+
 }  // namespace
 
 std::uint64_t entry_hash(std::string_view key, std::string_view value_repr) {
-  return mix64(util::fnv1a(key) * 0x9e3779b97f4a7c15ULL + util::fnv1a(value_repr));
+  return combine(util::fnv1a(key), util::fnv1a(value_repr));
 }
 
-LwwMap::Entry LwwMap::live_entry(const std::string& key, json::Value value, Stamp stamp) {
-  const std::uint64_t hash = entry_hash(key, value.dump());
+LwwMap::Entry LwwMap::live_entry(const std::string& key,
+                                 std::shared_ptr<const json::Value> value, Stamp stamp) {
+  // == entry_hash(key, value->dump()), without the dump.
+  const std::uint64_t hash = combine(util::fnv1a(key), value->fnv1a());
   return Entry{std::move(value), std::move(stamp), false, hash};
 }
 
@@ -37,22 +43,33 @@ void LwwMap::assign(const std::string& key, Entry entry) {
 }
 
 std::optional<json::Value> LwwMap::get(const std::string& key) const {
+  const json::Value* value = find(key);
+  if (!value) return std::nullopt;
+  return *value;
+}
+
+const json::Value* LwwMap::find(const std::string& key) const {
   auto it = entries_.find(key);
-  if (it == entries_.end() || it->second.deleted) return std::nullopt;
-  return it->second.value;
+  if (it == entries_.end() || it->second.deleted) return nullptr;
+  return it->second.value.get();
 }
 
 void LwwMap::put(const std::string& key, json::Value value, Stamp stamp) {
+  put(key, std::make_shared<const json::Value>(std::move(value)), std::move(stamp));
+}
+
+void LwwMap::put(const std::string& key, std::shared_ptr<const json::Value> value,
+                 Stamp stamp) {
   auto it = entries_.find(key);
   if (it == entries_.end() || it->second.stamp < stamp) {
-    assign(key, live_entry(key, std::move(value), stamp));
+    assign(key, live_entry(key, std::move(value), std::move(stamp)));
   }
 }
 
 void LwwMap::remove(const std::string& key, Stamp stamp) {
   auto it = entries_.find(key);
   if (it == entries_.end() || it->second.stamp < stamp) {
-    assign(key, Entry{json::Value(), stamp, true});
+    assign(key, Entry{nullptr, stamp, true});
   }
 }
 
@@ -83,26 +100,29 @@ bool LwwMap::operator==(const LwwMap& other) const {
   // Convergence equality: same live keys with same values. Tombstone
   // metadata may differ in stamps without affecting observable state.
   if (keys() != other.keys()) return false;
-  for (const std::string& key : keys()) {
-    if (!(*get(key) == *other.get(key))) return false;
+  for (const auto& [key, entry] : entries_) {
+    if (!entry.deleted && !(*entry.value == *other.find(key))) return false;
   }
   return true;
 }
 
 std::string LwwMap::digest() const {
+  // Keys come from a std::map, so they are unique: append, never set.
   json::Object live;
+  live.reserve(live_);
   for (const auto& [key, entry] : entries_) {
-    if (!entry.deleted) live.set(key, entry.value);
+    if (!entry.deleted) live.append(key, *entry.value);
   }
   return json::Value(std::move(live)).dump();
 }
 
 json::Value LwwMap::to_json() const {
   json::Object obj;
+  obj.reserve(entries_.size());
   for (const auto& [key, entry] : entries_) {
-    obj.set(key, json::Value::object({{"value", entry.value},
-                                      {"stamp", entry.stamp.to_json()},
-                                      {"deleted", entry.deleted}}));
+    obj.append(key, json::Value::object({{"value", entry.deleted ? json::Value() : *entry.value},
+                                         {"stamp", entry.stamp.to_json()},
+                                         {"deleted", entry.deleted}}));
   }
   return json::Value(std::move(obj));
 }
@@ -112,8 +132,9 @@ LwwMap LwwMap::from_json(const json::Value& v) {
   for (const auto& [key, entry] : v.as_object()) {
     Stamp stamp = Stamp::from_json(entry["stamp"]);
     map.assign(key, entry["deleted"].as_bool()
-                        ? Entry{entry["value"], std::move(stamp), true}
-                        : live_entry(key, entry["value"], std::move(stamp)));
+                        ? Entry{nullptr, std::move(stamp), true}
+                        : live_entry(key, std::make_shared<const json::Value>(entry["value"]),
+                                     std::move(stamp)));
   }
   return map;
 }

@@ -7,6 +7,7 @@
 
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -23,14 +24,20 @@ namespace edgstr::crdt {
 /// depend on insertion order and updates in O(1) per changed pair.
 std::uint64_t entry_hash(std::string_view key, std::string_view value_repr);
 
-/// Keyed LWW entries with tombstoned removal.
+/// Keyed LWW entries with tombstoned removal. Values are immutable and
+/// shared: an entry put from an op aliases the op's payload (Op::share), so
+/// the log and the map hold one copy between them.
 class LwwMap {
  public:
-  /// Non-deleted value for a key, if any.
+  /// Non-deleted value for a key, if any (a copy; see find()).
   std::optional<json::Value> get(const std::string& key) const;
-  bool contains(const std::string& key) const { return get(key).has_value(); }
+  /// Non-deleted value for a key, or nullptr — without copying it. Valid
+  /// until the key is next written.
+  const json::Value* find(const std::string& key) const;
+  bool contains(const std::string& key) const { return find(key) != nullptr; }
 
   void put(const std::string& key, json::Value value, Stamp stamp);
+  void put(const std::string& key, std::shared_ptr<const json::Value> value, Stamp stamp);
   void remove(const std::string& key, Stamp stamp);
 
   /// Join: pointwise LWW merge (delete vs write also resolves by stamp).
@@ -50,7 +57,9 @@ class LwwMap {
   std::string digest() const;
 
   /// Sum of entry_hash(key, value.dump()) over live entries, kept current on
-  /// every write: equal digest() strings always give equal hashes.
+  /// every write: equal digest() strings always give equal hashes. Each
+  /// value's share is hashed straight from the JSON writer
+  /// (json::Value::fnv1a), without building its text.
   std::uint64_t state_hash() const { return hash_; }
 
   json::Value to_json() const;
@@ -58,7 +67,7 @@ class LwwMap {
 
  private:
   struct Entry {
-    json::Value value;
+    std::shared_ptr<const json::Value> value;  ///< null for a tombstone
     Stamp stamp;
     bool deleted = false;
     std::uint64_t hash = 0;  ///< entry_hash of a live entry; 0 for a tombstone
@@ -70,7 +79,8 @@ class LwwMap {
   /// The one writer of entries_: swaps `key`'s entry for `entry` and moves
   /// hash_ and live_ by the difference.
   void assign(const std::string& key, Entry entry);
-  static Entry live_entry(const std::string& key, json::Value value, Stamp stamp);
+  static Entry live_entry(const std::string& key, std::shared_ptr<const json::Value> value,
+                          Stamp stamp);
 };
 
 }  // namespace edgstr::crdt

@@ -68,18 +68,16 @@ std::size_t CrdtTable::record_local_mutations() {
   std::size_t count = 0;
   for (const sqldb::RowMutation& m : db_->drain_mutations()) {
     const std::string key = key_for(m.table, m.rid);
-    json::Value payload;
-    if (m.kind == sqldb::RowMutation::Kind::kDelete) {
-      payload = json::Value::object({{"type", "del"}, {"key", key}, {"table", m.table}});
-    } else {
-      payload = json::Value::object({{"type", "put"},
-                                     {"key", key},
-                                     {"table", m.table},
-                                     {"cells", cells_to_json(m.cells)}});
-    }
-    Op op = log_.make_local(std::move(payload));
+    const bool del = m.kind == sqldb::RowMutation::Kind::kDelete;
+    json::Object payload;
+    payload.reserve(4);
+    payload.append("type", del ? "del" : "put");
+    payload.append("key", key);
+    payload.append("table", m.table);
+    if (!del) payload.append("cells", cells_to_json(m.cells));
+    Op op = log_.make_local(json::Value(std::move(payload)));
     log_.record(op);
-    if (op.payload["type"].as_string() == "del") {
+    if (del) {
       rows_.remove(key, op.stamp);
       // Local DB already reflects the delete.
       auto rid_it = key_to_rid_.find(key);
@@ -88,7 +86,7 @@ std::size_t CrdtTable::record_local_mutations() {
         key_to_rid_.erase(rid_it);
       }
     } else {
-      rows_.put(key, op.payload, op.stamp);
+      rows_.put(key, op.share(op.payload()), op.stamp);
     }
     ++count;
   }
@@ -96,7 +94,7 @@ std::size_t CrdtTable::record_local_mutations() {
 }
 
 void CrdtTable::materialize(const std::string& key) {
-  const std::optional<json::Value> row = rows_.get(key);
+  const json::Value* row = rows_.find(key);
   if (!row) {
     // Deleted: remove the local row if we track it.
     auto it = key_to_rid_.find(key);
@@ -143,12 +141,12 @@ std::size_t CrdtTable::applyChanges(const std::vector<Op>& ops) {
     // recovers its *own* earlier ops from peers through the same path.
     if (log_.seen(op.origin, op.seq)) continue;
     log_.record(op);
-    const std::string& type = op.payload["type"].as_string();
-    const std::string& key = op.payload["key"].as_string();
+    const std::string& type = op.payload()["type"].as_string();
+    const std::string& key = op.payload()["key"].as_string();
     if (type == "del") {
       rows_.remove(key, op.stamp);
     } else {
-      rows_.put(key, op.payload, op.stamp);
+      rows_.put(key, op.share(op.payload()), op.stamp);
     }
     materialize(key);
     ++applied;

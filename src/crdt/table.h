@@ -73,6 +73,11 @@ class CrdtTable : public ReplicatedDoc {
 
   /// Number of live replicated rows.
   std::size_t live_rows() const { return rows_.live_size(); }
+  /// The live replicated row {"table", "cells", ...} under a global key,
+  /// or nullptr, without copying it (see LwwMap::find).
+  const json::Value* find_row(const std::string& global_key) const {
+    return rows_.find(global_key);
+  }
 
  private:
   OpLog log_;

@@ -4,7 +4,8 @@ namespace edgstr::crdt {
 
 json::Value doc_versions_to_json(const DocVersions& versions) {
   json::Object out;
-  for (const auto& [doc, version] : versions) out.set(doc, version_to_json(version));
+  // Keys come from a std::map, so they are unique: append, never set.
+  for (const auto& [doc, version] : versions) out.append(doc, version_to_json(version));
   return json::Value(std::move(out));
 }
 
@@ -34,6 +35,8 @@ json::Value encode_runs(const std::vector<Op>& ops) {
 
     json::Array counters;  // [c0, delta, delta, ...]
     json::Array payloads;
+    counters.reserve(j - i);
+    payloads.reserve(j - i);
     bool stamps_match_origin = true;
     double prev_counter = 0;
     for (std::size_t k = i; k < j; ++k) {
@@ -41,19 +44,20 @@ json::Value encode_runs(const std::vector<Op>& ops) {
       const double encoded = (k == i) ? counter : counter - prev_counter;
       prev_counter = counter;
       counters.push_back(json::Value(encoded));
-      payloads.push_back(ops[k].payload);
+      payloads.push_back(ops[k].payload());  // the one copy per hop: into the wire
       stamps_match_origin = stamps_match_origin && ops[k].stamp.replica == origin;
     }
     json::Object run;
-    run.set("o", json::Value(origin));
-    run.set("s", json::Value(double(ops[i].seq)));
-    run.set("c", json::Value(std::move(counters)));
-    run.set("p", json::Value(std::move(payloads)));
+    run.reserve(stamps_match_origin ? 4 : 5);
+    run.append("o", json::Value(origin));
+    run.append("s", json::Value(double(ops[i].seq)));
+    run.append("c", json::Value(std::move(counters)));
+    run.append("p", json::Value(std::move(payloads)));
     if (!stamps_match_origin) {
       // Never produced by OpLog::make_local; kept so the codec stays total.
       json::Array replicas;
       for (std::size_t k = i; k < j; ++k) replicas.push_back(ops[k].stamp.replica);
-      run.set("r", json::Value(std::move(replicas)));
+      run.append("r", json::Value(std::move(replicas)));
     }
     runs.push_back(json::Value(std::move(run)));
     i = j;
@@ -68,22 +72,30 @@ bool valid_seq(double v) {
   return v >= 1 && v <= 9007199254740992.0 && v == double(std::uint64_t(v));
 }
 
-std::vector<Op> decode_runs(const json::Value& runs) {
+/// A value out of the wire being decoded: moved out of a wire the decoder
+/// owns, copied out of one it only reads.
+json::Value take(const json::Value& v) { return v; }
+json::Value take(json::Value& v) { return std::move(v); }
+
+/// Decodes op runs. `Wire` is json::Value (payloads move out) or
+/// const json::Value (payloads are copied).
+template <class Wire>
+std::vector<Op> decode_runs(Wire& runs) {
   std::vector<Op> ops;
   // Where each origin's next run must resume: the encoder emits per-origin
   // seqs gap-free across a message, so anything else is malformed.
   std::map<std::string, std::uint64_t> next_seq;
-  for (const json::Value& run : runs.as_array()) {
+  for (auto& run : runs.as_array()) {
     const json::Value* o = run.find("o");
     const json::Value* s = run.find("s");
     const json::Value* c = run.find("c");
-    const json::Value* p = run.find("p");
+    auto* p = run.find("p");
     if (!o || !s || !c || !p) throw WireError("wire: truncated run header");
     const std::string& origin = o->as_string();
     if (!valid_seq(s->as_number())) throw WireError("wire: bad first seq in run");
     const std::uint64_t first_seq = std::uint64_t(s->as_number());
     const json::Array& counters = c->as_array();
-    const json::Array& payloads = p->as_array();
+    auto& payloads = p->as_array();
     if (counters.size() != payloads.size()) {
       throw WireError("wire: run length mismatch (" + std::to_string(counters.size()) +
                       " counters, " + std::to_string(payloads.size()) + " payloads)");
@@ -96,6 +108,7 @@ std::vector<Op> decode_runs(const json::Value& runs) {
     if (expected != next_seq.end() && first_seq != expected->second) {
       throw WireError("wire: non-gap-free seq runs for origin '" + origin + "'");
     }
+    ops.reserve(ops.size() + payloads.size());
     double counter = 0;
     for (std::size_t k = 0; k < payloads.size(); ++k) {
       counter += counters[k].as_number();  // c0 then deltas
@@ -107,7 +120,7 @@ std::vector<Op> decode_runs(const json::Value& runs) {
       op.seq = first_seq + k;
       op.stamp.counter = std::uint64_t(counter);
       op.stamp.replica = replicas ? (*replicas)[k].as_string() : origin;
-      op.payload = payloads[k];
+      op.set_payload(take(payloads[k]));
       ops.push_back(std::move(op));
     }
     next_seq[origin] = first_seq + payloads.size();
@@ -137,10 +150,10 @@ void encode_digest(const DocVersions& versions, json::Object& out) {
     json::Array encoded;
     for (std::size_t i = 0; i < row.size(); ++i) encoded.push_back(json::Value(row[i] - prev[i]));
     prev = row;
-    rows.set(doc, json::Value(std::move(encoded)));
+    rows.append(doc, json::Value(std::move(encoded)));  // map keys: unique
   }
-  out.set("o", json::Value(std::move(origins)));
-  out.set("g", json::Value(std::move(rows)));
+  out.append("o", json::Value(std::move(origins)));
+  out.append("g", json::Value(std::move(rows)));
 }
 
 DocVersions decode_digest(const json::Value& wire) {
@@ -172,50 +185,55 @@ DocVersions decode_digest(const json::Value& wire) {
 }  // namespace
 
 json::Value encode_message(const SyncMessage& message) {
+  // Every key is written once (doc keys come from std::maps), so the
+  // builders append instead of set()'s duplicate scan.
   json::Object out;
-  out.set("from", json::Value(message.from));
+  out.append("from", json::Value(message.from));
   if (message.kind == SyncKind::kDigest) {
-    out.set("k", json::Value("dig"));
+    out.append("k", json::Value("dig"));
     encode_digest(message.versions, out);
-    if (message.rejoin) out.set("rj", json::Value(true));
+    if (message.rejoin) out.append("rj", json::Value(true));
     return json::Value(std::move(out));
   }
   if (message.kind == SyncKind::kBootstrap) {
-    out.set("k", json::Value("boot"));
-    out.set("v", doc_versions_to_json(message.versions));
-    out.set("b", message.bootstrap);
-    if (message.rejoin) out.set("rj", json::Value(true));
+    out.append("k", json::Value("boot"));
+    out.append("v", doc_versions_to_json(message.versions));
+    out.append("b", message.bootstrap);
+    if (message.rejoin) out.append("rj", json::Value(true));
     return json::Value(std::move(out));
   }
   if (message.kind == SyncKind::kSnapshot) {
-    out.set("k", json::Value("snap"));
-    out.set("v", doc_versions_to_json(message.versions));
-    out.set("sn", message.snapshot);
+    out.append("k", json::Value("snap"));
+    out.append("v", doc_versions_to_json(message.versions));
+    out.append("sn", message.snapshot);
     json::Object docs;
     for (const auto& [doc, doc_ops] : message.ops) {
-      if (!doc_ops.empty()) docs.set(doc, encode_runs(doc_ops));
+      if (!doc_ops.empty()) docs.append(doc, encode_runs(doc_ops));
     }
-    if (!docs.empty()) out.set("d", json::Value(std::move(docs)));
-    if (message.rejoin) out.set("rj", json::Value(true));
+    if (!docs.empty()) out.append("d", json::Value(std::move(docs)));
+    if (message.rejoin) out.append("rj", json::Value(true));
     return json::Value(std::move(out));
   }
   // An absent doc decodes as an empty vector, so empty ones are skipped.
   json::Object versions;
   for (const auto& [doc, version] : message.versions) {
-    if (!version.empty()) versions.set(doc, version_to_json(version));
+    if (!version.empty()) versions.append(doc, version_to_json(version));
   }
-  out.set("v", json::Value(std::move(versions)));
+  out.append("v", json::Value(std::move(versions)));
   json::Object docs;
   for (const auto& [doc, doc_ops] : message.ops) {
-    if (!doc_ops.empty()) docs.set(doc, encode_runs(doc_ops));
+    if (!doc_ops.empty()) docs.append(doc, encode_runs(doc_ops));
   }
-  if (!docs.empty()) out.set("d", json::Value(std::move(docs)));
-  if (message.truncated) out.set("t", json::Value(true));
-  if (message.rejoin) out.set("rj", json::Value(true));
+  if (!docs.empty()) out.append("d", json::Value(std::move(docs)));
+  if (message.truncated) out.append("t", json::Value(true));
+  if (message.rejoin) out.append("rj", json::Value(true));
   return json::Value(std::move(out));
 }
 
-SyncMessage decode_message(const json::Value& wire) {
+namespace {
+
+template <class Wire>
+SyncMessage decode(Wire& wire) {
   try {
     SyncMessage out;
     out.from = wire["from"].as_string();
@@ -239,7 +257,7 @@ SyncMessage decode_message(const json::Value& wire) {
         }
         out.kind = SyncKind::kBootstrap;
         out.versions = doc_versions_from_json(wire["v"]);
-        out.bootstrap = wire["b"];
+        out.bootstrap = take(wire.as_object().at("b"));
         if (!out.bootstrap.is_object()) throw WireError("wire: bootstrap state must be an object");
         if (const json::Value* rejoin = wire.find("rj")) out.rejoin = rejoin->as_bool();
         return out;
@@ -248,7 +266,7 @@ SyncMessage decode_message(const json::Value& wire) {
         if (wire.find("b")) throw WireError("wire: snapshot carrying a bootstrap payload");
         out.kind = SyncKind::kSnapshot;
         out.versions = doc_versions_from_json(wire["v"]);
-        out.snapshot = wire["sn"];
+        out.snapshot = take(wire.as_object().at("sn"));
         if (!out.snapshot.is_object()) throw WireError("wire: snapshot payload must be an object");
         // Structural validation up front: every per-doc entry must look like
         // a crdt::Snapshot encoding. Content digests are verified at install.
@@ -261,8 +279,8 @@ SyncMessage decode_message(const json::Value& wire) {
             throw WireError("wire: snapshot version must be an object for doc '" + doc + "'");
           }
         }
-        if (const json::Value* docs = wire.find("d")) {
-          for (const auto& [doc, runs] : docs->as_object()) out.ops[doc] = decode_runs(runs);
+        if (auto* docs = wire.find("d")) {
+          for (auto& [doc, runs] : docs->as_object()) out.ops[doc] = decode_runs(runs);
         }
         if (const json::Value* rejoin = wire.find("rj")) out.rejoin = rejoin->as_bool();
         return out;
@@ -273,8 +291,8 @@ SyncMessage decode_message(const json::Value& wire) {
       throw WireError("wire: ops message carrying digest/bootstrap fields");
     }
     out.versions = doc_versions_from_json(wire["v"]);
-    if (const json::Value* docs = wire.find("d")) {
-      for (const auto& [doc, runs] : docs->as_object()) out.ops[doc] = decode_runs(runs);
+    if (auto* docs = wire.find("d")) {
+      for (auto& [doc, runs] : docs->as_object()) out.ops[doc] = decode_runs(runs);
     }
     if (const json::Value* truncated = wire.find("t")) out.truncated = truncated->as_bool();
     if (const json::Value* rejoin = wire.find("rj")) out.rejoin = rejoin->as_bool();
@@ -287,5 +305,11 @@ SyncMessage decode_message(const json::Value& wire) {
     throw WireError(std::string("wire: malformed sync message: ") + e.what());
   }
 }
+
+}  // namespace
+
+SyncMessage decode_message(const json::Value& wire) { return decode(wire); }
+
+SyncMessage decode_message(json::Value&& wire) { return decode(wire); }
 
 }  // namespace edgstr::crdt

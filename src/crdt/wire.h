@@ -109,6 +109,10 @@ struct SyncMessage {
 
 /// Batched run-length encoding.
 json::Value encode_message(const SyncMessage& message);
+/// Decodes a wire message; throws WireError when it is malformed. The
+/// rvalue overload moves payloads (and bootstrap/snapshot state) out of
+/// `wire` instead of copying them.
 SyncMessage decode_message(const json::Value& wire);
+SyncMessage decode_message(json::Value&& wire);
 
 }  // namespace edgstr::crdt

@@ -27,11 +27,12 @@ void CachingProxy::miss_path(const http::HttpRequest& req, double start,
                 [this, req, start, done = std::move(done)]() mutable {
                   cloud_.execute(req, [this, req, start, done = std::move(done)](
                                           runtime::ExecutionResult result) mutable {
-                    // The cache keeps its own copy; the response itself moves on.
-                    if (result.response.ok()) {
-                      cache_[key_of(req)] = Entry{result.response, 0};
-                    }
+                    // The cache keeps its own copy (and size); the response
+                    // itself moves on.
                     const std::uint64_t bytes = result.response.wire_size();
+                    if (result.response.ok()) {
+                      cache_[key_of(req)] = Entry{result.response, bytes, 0};
+                    }
                     network_.send(cloud_.name(), edge_host_, bytes,
                                   [this, resp = std::move(result.response), bytes, start,
                                    done = std::move(done)]() mutable {
@@ -59,9 +60,9 @@ void CachingProxy::request(const http::HttpRequest& req, runtime::RequestCallbac
                     ++it->second.hits_since_fill;
                     // The one copy a hit makes: the cached entry stays.
                     network_.clock().schedule(config_.cache_lookup_s,
-                                              [this, resp = it->second.response, start,
+                                              [this, resp = it->second.response,
+                                               bytes = it->second.bytes, start,
                                                done = std::move(done)]() mutable {
-                      const std::uint64_t bytes = resp.wire_size();
                       network_.send(edge_host_, client_host_, bytes,
                                     [this, resp = std::move(resp), start,
                                      done = std::move(done)]() mutable {

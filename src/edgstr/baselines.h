@@ -45,6 +45,7 @@ class CachingProxy {
 
   struct Entry {
     http::HttpResponse response;
+    std::uint64_t bytes = 0;  ///< response.wire_size(), taken once at fill
     std::size_t hits_since_fill = 0;
   };
   std::map<std::uint64_t, Entry> cache_;

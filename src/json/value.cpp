@@ -2,8 +2,9 @@
 
 #include <charconv>
 #include <cmath>
-#include <cstdio>
 #include <stdexcept>
+
+#include "util/strings.h"
 
 namespace edgstr::json {
 
@@ -123,37 +124,68 @@ const Value* Value::find(std::string_view key) const {
   return nullptr;
 }
 
+Value* Value::find(std::string_view key) {
+  return const_cast<Value*>(std::as_const(*this).find(key));
+}
+
 bool Value::operator==(const Value& other) const { return data_ == other.data_; }
 
 namespace {
 
-void write_escaped(const std::string& s, std::string& out) {
-  out.push_back('"');
-  for (char c : s) {
+// The sinks of the one JSON writer. Each takes single characters and
+// string pieces; the writer never needs more.
+
+struct StringSink {
+  std::string& out;
+  void put(char c) { out.push_back(c); }
+  void put(std::string_view piece) { out.append(piece); }
+};
+
+struct CountSink {
+  std::size_t bytes = 0;
+  void put(char) { ++bytes; }
+  void put(std::string_view piece) { bytes += piece.size(); }
+};
+
+struct HashSink {
+  std::uint64_t hash = util::kFnv1aBasis;
+  void put(char c) { hash = util::fnv1a_append(hash, std::string_view(&c, 1)); }
+  void put(std::string_view piece) { hash = util::fnv1a_append(hash, piece); }
+};
+
+template <class Sink>
+void write_escaped(std::string_view s, Sink& out) {
+  out.put('"');
+  // Characters that need no escape go out in runs, not one at a time.
+  std::size_t run = 0;
+  for (std::size_t i = 0; i < s.size(); ++i) {
+    const unsigned char c = static_cast<unsigned char>(s[i]);
+    if (c >= 0x20 && c != '"' && c != '\\') continue;
+    out.put(s.substr(run, i - run));
+    run = i + 1;
     switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      case '\b': out += "\\b"; break;
-      case '\f': out += "\\f"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out.push_back(c);
-        }
+      case '"': out.put("\\\""); break;
+      case '\\': out.put("\\\\"); break;
+      case '\n': out.put("\\n"); break;
+      case '\r': out.put("\\r"); break;
+      case '\t': out.put("\\t"); break;
+      case '\b': out.put("\\b"); break;
+      case '\f': out.put("\\f"); break;
+      default: {
+        static constexpr char kHex[] = "0123456789abcdef";
+        const char escape[6] = {'\\', 'u', '0', '0', kHex[c >> 4], kHex[c & 0xF]};
+        out.put(std::string_view(escape, sizeof(escape)));
+      }
     }
   }
-  out.push_back('"');
+  out.put(s.substr(run));
+  out.put('"');
 }
 
-void write_number(double d, std::string& out) {
+template <class Sink>
+void write_number(double d, Sink& out) {
   if (std::isnan(d) || std::isinf(d)) {
-    out += "null";  // JSON has no NaN/Inf
+    out.put("null");  // JSON has no NaN/Inf
     return;
   }
   // Integral values below 1e15 print as plain integers (printf "%.0f",
@@ -163,84 +195,108 @@ void write_number(double d, std::string& out) {
   std::to_chars_result r;
   if (d == std::floor(d) && std::abs(d) < 1e15) {
     if (d == 0 && std::signbit(d)) {
-      out += "-0";
+      out.put("-0");
       return;
     }
     r = std::to_chars(buf, buf + sizeof(buf), static_cast<std::int64_t>(d));
   } else {
     r = std::to_chars(buf, buf + sizeof(buf), d, std::chars_format::general, 17);
   }
-  out.append(buf, r.ptr);
+  out.put(std::string_view(buf, static_cast<std::size_t>(r.ptr - buf)));
 }
 
-void indent_to(std::string& out, int indent, int depth) {
+template <class Sink>
+void indent_to(Sink& out, int indent, int depth) {
   if (indent <= 0) return;
-  out.push_back('\n');
-  out.append(static_cast<std::size_t>(indent * depth), ' ');
+  out.put('\n');
+  for (int i = 0; i < indent * depth; ++i) out.put(' ');
 }
 
-}  // namespace
-
-void Value::write(std::string& out, int indent, int depth) const {
-  switch (type()) {
-    case Type::kNull: out += "null"; return;
-    case Type::kBool: out += (std::get<bool>(data_) ? "true" : "false"); return;
-    case Type::kNumber: write_number(std::get<double>(data_), out); return;
-    case Type::kString: write_escaped(std::get<std::string>(data_), out); return;
-    case Type::kArray: {
-      const Array& arr = std::get<Array>(data_);
+template <class Sink>
+void write_value(const Value& v, Sink& out, int indent, int depth) {
+  switch (v.type()) {
+    case Value::Type::kNull: out.put("null"); return;
+    case Value::Type::kBool: out.put(v.as_bool() ? "true" : "false"); return;
+    case Value::Type::kNumber: write_number(v.as_number(), out); return;
+    case Value::Type::kString: write_escaped(v.as_string(), out); return;
+    case Value::Type::kArray: {
+      const Array& arr = v.as_array();
       if (arr.empty()) {
-        out += "[]";
+        out.put("[]");
         return;
       }
-      out.push_back('[');
+      out.put('[');
       for (std::size_t i = 0; i < arr.size(); ++i) {
-        if (i > 0) out.push_back(',');
+        if (i > 0) out.put(',');
         indent_to(out, indent, depth + 1);
-        arr[i].write(out, indent, depth + 1);
+        write_value(arr[i], out, indent, depth + 1);
       }
       indent_to(out, indent, depth);
-      out.push_back(']');
+      out.put(']');
       return;
     }
-    case Type::kObject: {
-      const Object& obj = std::get<Object>(data_);
+    case Value::Type::kObject: {
+      const Object& obj = v.as_object();
       if (obj.empty()) {
-        out += "{}";
+        out.put("{}");
         return;
       }
-      out.push_back('{');
+      out.put('{');
       bool first = true;
-      for (const auto& [k, v] : obj) {
-        if (!first) out.push_back(',');
+      for (const auto& [k, item] : obj) {
+        if (!first) out.put(',');
         first = false;
         indent_to(out, indent, depth + 1);
         write_escaped(k, out);
-        out.push_back(':');
-        if (indent > 0) out.push_back(' ');
-        v.write(out, indent, depth + 1);
+        out.put(':');
+        if (indent > 0) out.put(' ');
+        write_value(item, out, indent, depth + 1);
       }
       indent_to(out, indent, depth);
-      out.push_back('}');
+      out.put('}');
       return;
     }
   }
 }
 
+}  // namespace
+
 std::string Value::dump() const {
   std::string out;
-  write(out, 0, 0);
+  StringSink sink{out};
+  write_value(*this, sink, 0, 0);
   return out;
 }
 
 std::string Value::dump_pretty() const {
   std::string out;
-  write(out, 2, 0);
+  StringSink sink{out};
+  write_value(*this, sink, 2, 0);
   return out;
 }
 
 std::size_t Value::wire_size() const {
-  return dump().size();
+  CountSink sink;
+  write_value(*this, sink, 0, 0);
+  return sink.bytes;
+}
+
+std::uint64_t Value::fnv1a() const {
+  HashSink sink;
+  write_value(*this, sink, 0, 0);
+  return sink.hash;
+}
+
+std::size_t string_wire_size(std::string_view text) {
+  CountSink sink;
+  write_escaped(text, sink);
+  return sink.bytes;
+}
+
+std::size_t number_wire_size(double number) {
+  CountSink sink;
+  write_number(number, sink);
+  return sink.bytes;
 }
 
 }  // namespace edgstr::json

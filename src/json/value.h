@@ -102,23 +102,35 @@ class Value {
 
   /// Object lookup returning nullptr when absent (or when not an object).
   const Value* find(std::string_view key) const;
+  Value* find(std::string_view key);
+
+  // One writer serves three sinks: dump() appends the text to a string,
+  // wire_size() only counts its bytes, and fnv1a() hashes them. The last
+  // two never build the text, and all three share one traversal, one
+  // number formatter and one escaper, so they cannot disagree.
 
   /// Serializes to compact JSON text.
   std::string dump() const;
   /// Serializes with 2-space indentation.
   std::string dump_pretty() const;
 
-  /// Wire size in bytes: the length of dump(), which it serializes to
-  /// measure. Used for network accounting.
+  /// Wire size in bytes: dump().size(), counted without building the
+  /// text. Used for network accounting.
   std::size_t wire_size() const;
+
+  /// util::fnv1a(dump()), hashed without building the text.
+  std::uint64_t fnv1a() const;
 
   bool operator==(const Value& other) const;
 
  private:
   std::variant<std::nullptr_t, bool, double, std::string, Array, Object> data_;
-  void write(std::string& out, int indent, int depth) const;
-  friend void write_value(const Value&, std::string&, int, int);
 };
+
+/// dump().size() of Value(text), counted without building it.
+std::size_t string_wire_size(std::string_view text);
+/// dump().size() of Value(number), counted without building it.
+std::size_t number_wire_size(double number);
 
 /// Deep structural equality helper (alias for operator==, readability).
 inline bool deep_equal(const Value& a, const Value& b) { return a == b; }

@@ -4,12 +4,17 @@ namespace edgstr::obs {
 
 void Telemetry::tag_op(const std::string& doc, const std::string& origin, std::uint64_t seq) {
   if (!active_.valid()) return;
-  op_trace_[OpKey{doc, origin, seq}] = active_.trace_id;
+  const OpKeyView key{doc, origin, seq};
+  auto it = op_trace_.lower_bound(key);
+  if (it == op_trace_.end() || op_trace_.key_comp()(key, it->first)) {
+    it = op_trace_.emplace_hint(it, OpKey{doc, origin, seq}, 0);
+  }
+  it->second = active_.trace_id;
 }
 
 std::uint64_t Telemetry::op_trace(const std::string& doc, const std::string& origin,
                                   std::uint64_t seq) const {
-  auto it = op_trace_.find(OpKey{doc, origin, seq});
+  auto it = op_trace_.find(OpKeyView{doc, origin, seq});
   return it == op_trace_.end() ? 0 : it->second;
 }
 

@@ -8,9 +8,11 @@
 // deterministic: ids from counters, timestamps from the netsim clock.
 #pragma once
 
+#include <functional>
 #include <map>
 #include <set>
 #include <string>
+#include <string_view>
 #include <tuple>
 
 #include "obs/flight_recorder.h"
@@ -80,14 +82,17 @@ class Telemetry {
   void clear();
 
  private:
+  /// (doc, origin, seq). The map's comparator is transparent, so lookups
+  /// by a string_view key allocate nothing.
   using OpKey = std::tuple<std::string, std::string, std::uint64_t>;
+  using OpKeyView = std::tuple<std::string_view, std::string_view, std::uint64_t>;
 
   Tracer tracer_;
   util::MetricsRegistry metrics_;
   TimeSeries* timeseries_ = nullptr;
   FlightRecorder* flight_ = nullptr;
   TraceContext active_;
-  std::map<OpKey, std::uint64_t> op_trace_;
+  std::map<OpKey, std::uint64_t, std::less<>> op_trace_;
   std::map<std::uint64_t, std::set<std::string>> delivered_;
 };
 

@@ -62,10 +62,10 @@ EdgeProxy::EdgeProxy(netsim::Network& network, std::string client_host, Node& ed
       cloud_sync_state_(cloud_sync_state),
       telemetry_(telemetry) {}
 
-void EdgeProxy::respond_to_client(http::HttpResponse resp, double start_time,
-                                  RequestCallback done, obs::SpanId root, bool served_locally) {
-  // Edge -> client (LAN). The size is taken before the capture moves resp.
-  const std::uint64_t bytes = resp.wire_size();
+void EdgeProxy::respond_to_client(http::HttpResponse resp, std::uint64_t bytes,
+                                  double start_time, RequestCallback done, obs::SpanId root,
+                                  bool served_locally) {
+  // Edge -> client (LAN).
   network_.send(edge_.name(), client_host_, bytes,
                 [this, resp = std::move(resp), start_time, root, served_locally,
                  done = std::move(done)]() mutable {
@@ -111,11 +111,12 @@ void EdgeProxy::forward_to_cloud(const http::HttpRequest& req, double start_time
                     // Cloud -> edge (WAN).
                     const std::uint64_t bytes = result.response.wire_size();
                     network_.send(cloud_.name(), edge_.name(), bytes,
-                                  [this, resp = std::move(result.response), start_time, root,
-                                   forward, done = std::move(done)]() mutable {
+                                  [this, resp = std::move(result.response), bytes, start_time,
+                                   root, forward, done = std::move(done)]() mutable {
                                     if (telemetry_) telemetry_->tracer().end_span(forward);
-                                    respond_to_client(std::move(resp), start_time, std::move(done),
-                                                      root, /*served_locally=*/false);
+                                    respond_to_client(std::move(resp), bytes, start_time,
+                                                      std::move(done), root,
+                                                      /*served_locally=*/false);
                                   });
                   });
                 });
@@ -169,7 +170,8 @@ void EdgeProxy::request(const http::HttpRequest& req, RequestCallback done) {
             if (telemetry_) telemetry_->clear_active_context();
           }
           if (telemetry_) telemetry_->tracer().end_span(serve);
-          respond_to_client(std::move(result.response), start, std::move(done), root,
+          const std::uint64_t bytes = result.response.wire_size();
+          respond_to_client(std::move(result.response), bytes, start, std::move(done), root,
                             /*served_locally=*/true);
         });
       });

@@ -84,9 +84,10 @@ class EdgeProxy {
                         bool was_failure, obs::SpanId root);
   // Responses travel by value and are moved at every hop. A network
   // callback owns its copy of the response: a duplicated delivery runs a
-  // separate copy of the callback, so moving out of it is safe.
-  void respond_to_client(http::HttpResponse resp, double start_time, RequestCallback done,
-                         obs::SpanId root, bool served_locally);
+  // separate copy of the callback, so moving out of it is safe. A response
+  // is sized once, where it is produced; `bytes` is its wire_size().
+  void respond_to_client(http::HttpResponse resp, std::uint64_t bytes, double start_time,
+                         RequestCallback done, obs::SpanId root, bool served_locally);
 };
 
 }  // namespace edgstr::runtime

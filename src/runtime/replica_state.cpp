@@ -86,8 +86,8 @@ json::Value ReplicaState::filtered_globals() {
 void ReplicaState::materialize_globals(const std::vector<crdt::Op>& applied) {
   minijs::Environment& env = *service_->interpreter().globals();
   for (const crdt::Op& op : applied) {
-    const std::string& key = op.payload["key"].as_string();
-    const std::optional<json::Value> live = globals_.get(key);
+    const std::string& key = op.payload()["key"].as_string();
+    const json::Value* live = globals_.find(key);
     if (live) {
       env.define(key, minijs::JsValue::from_json(*live));
     } else {
@@ -294,10 +294,10 @@ void ReplicaState::reseed_globals() {
   std::vector<std::string> replicated;
   for (const auto& entry : filtered.as_object()) replicated.push_back(entry.first);
   for (const std::string& name : replicated) {
-    if (!globals_.get(name)) env.erase_local(util::intern(name));
+    if (!globals_.find(name)) env.erase_local(util::intern(name));
   }
   for (const std::string& key : globals_.keys()) {
-    env.define(key, minijs::JsValue::from_json(*globals_.get(key)));
+    env.define(key, minijs::JsValue::from_json(*globals_.find(key)));
   }
 }
 

@@ -36,7 +36,7 @@ std::uint64_t SyncLink::send(const std::string& from, const crdt::SyncMessage& m
                              std::function<void(const crdt::SyncMessage&)> on_delivered,
                              const obs::TraceContext& parent) {
   const std::string& to = other_end(from);
-  const json::Value wire = crdt::encode_message(message);
+  json::Value wire = crdt::encode_message(message);
   const std::uint64_t bytes = wire.wire_size() + kFramingOverheadBytes;
   bytes_ += bytes;
   ++messages_;
@@ -93,12 +93,15 @@ std::uint64_t SyncLink::send(const std::string& from, const crdt::SyncMessage& m
   }
 
   // The *encoded* form is what travels: delivery decodes it at arrival
-  // time, so every sync round exercises the full wire round-trip.
+  // time, so every sync round exercises the full wire round-trip. The
+  // closure owns the wire and decoding moves the payloads out of it; a
+  // duplicated delivery runs a copy of the closure, made at send time.
   network_.send(from, to, bytes,
-                [this, wire, transit, budget, on_delivered = std::move(on_delivered)]() {
+                [this, wire = std::move(wire), transit, budget,
+                 on_delivered = std::move(on_delivered)]() mutable {
                   if (budget) budget->on_delivery(network_.clock().now());
                   if (telemetry_) telemetry_->tracer().end_span(transit);
-                  on_delivered(crdt::decode_message(wire));
+                  on_delivered(crdt::decode_message(std::move(wire)));
                 });
   return bytes;
 }

@@ -69,15 +69,6 @@ std::string replace_all(std::string_view text, std::string_view from, std::strin
   }
 }
 
-std::uint64_t fnv1a(std::string_view data) {
-  std::uint64_t hash = 0xcbf29ce484222325ULL;
-  for (unsigned char c : data) {
-    hash ^= c;
-    hash *= 0x100000001b3ULL;
-  }
-  return hash;
-}
-
 bool parse_u64(std::string_view text, std::uint64_t* out) {
   // from_chars on an unsigned type takes digits only: no sign, no spaces.
   if (text.empty()) return false;

@@ -30,7 +30,17 @@ std::string to_lower(std::string_view text);
 std::string replace_all(std::string_view text, std::string_view from, std::string_view to);
 
 /// 64-bit FNV-1a hash; used for content fingerprints in the VFS and CRDTs.
-std::uint64_t fnv1a(std::string_view data);
+/// Streamable: feeding a string's pieces through fnv1a_append, starting
+/// from kFnv1aBasis, gives fnv1a() of the whole string.
+inline constexpr std::uint64_t kFnv1aBasis = 0xcbf29ce484222325ULL;
+inline std::uint64_t fnv1a_append(std::uint64_t hash, std::string_view data) {
+  for (unsigned char c : data) {
+    hash ^= c;
+    hash *= 0x100000001b3ULL;
+  }
+  return hash;
+}
+inline std::uint64_t fnv1a(std::string_view data) { return fnv1a_append(kFnv1aBasis, data); }
 
 /// Parses a bare unsigned decimal into `*out`. Rejects what strtoul and
 /// stoull quietly accept: a sign ("-1" would wrap to 2^64-1), leading or

@@ -139,7 +139,7 @@ TEST(SnapshotWireTest, RoundtripsSnapshotsAndTailOps) {
   EXPECT_EQ(decoded.snapshot.dump(), msg.snapshot.dump());
   ASSERT_EQ(decoded.op_count(), 1u);
   EXPECT_EQ(decoded.ops.at("globals")[0].seq, msg.ops.at("globals")[0].seq);
-  EXPECT_EQ(decoded.ops.at("globals")[0].payload.dump(), msg.ops.at("globals")[0].payload.dump());
+  EXPECT_EQ(decoded.ops.at("globals")[0].payload().dump(), msg.ops.at("globals")[0].payload().dump());
 
   // The verified snapshot reinstalls from the decoded bytes.
   crdt::CrdtJson b("e1");

@@ -4,6 +4,7 @@
 #include "crdt/json_doc.h"
 #include "crdt/lww.h"
 #include "crdt/table.h"
+#include "util/rng.h"
 
 namespace edgstr::crdt {
 namespace {
@@ -419,6 +420,167 @@ TEST(CrdtFilesAppendTest, CustomSuffixConfiguration) {
   EXPECT_EQ(a.state_digest(), b.state_digest());
   EXPECT_NE(fa.read("events.jsonl").find("{\"e\":1}"), std::string::npos);
   EXPECT_NE(fa.read("events.jsonl").find("{\"e\":2}"), std::string::npos);
+}
+
+// ------------------------------------------------- OpLog per-origin index --
+
+/// changes_since() as it was before the per-origin index: one scan of the
+/// whole log. The differential oracle for the indexed version.
+std::vector<Op> full_scan_changes(const OpLog& log, const VersionVector& known) {
+  std::vector<Op> out;
+  for (const Op& op : log.all_ops()) {
+    auto it = known.find(op.origin);
+    const std::uint64_t have = it == known.end() ? 0 : it->second;
+    if (op.seq > have) out.push_back(op);
+  }
+  return out;
+}
+
+std::string describe(const std::vector<Op>& ops) {
+  std::string out;
+  for (const Op& op : ops) out += op.to_json().dump() + "\n";
+  return out;
+}
+
+TEST(OpLogIndexTest, ChangesSinceMatchesFullScanUnderRandomHistories) {
+  for (std::uint64_t seed = 1; seed <= 60; ++seed) {
+    util::Rng rng(seed);
+    // 1-5 origins, each minting its own op stream ahead of time.
+    const std::size_t origin_count = static_cast<std::size_t>(rng.uniform_int(1, 5));
+    std::vector<std::string> origins;
+    std::map<std::string, std::vector<Op>> minted;
+    for (std::size_t i = 0; i < origin_count; ++i) {
+      origins.push_back("o" + std::to_string(i));
+      OpLog source(origins.back());
+      for (int n = 0; n < 40; ++n) {
+        if (rng.chance(0.3)) source.observe(Stamp{source.lamport() + 3, "x"});
+        Op op = source.make_local(json::Value::object({{"n", n}}));
+        source.record(op);
+        minted[origins.back()].push_back(op);
+      }
+    }
+    OpLog log("under-test");
+    const auto have = [&](const std::string& origin) -> std::uint64_t {
+      auto it = log.version().find(origin);
+      return it == log.version().end() ? 0 : it->second;
+    };
+    for (int step = 0; step < 120; ++step) {
+      const std::string& origin = origins[rng.index(origins.size())];
+      const double pick = rng.next_double();
+      if (pick < 0.70) {  // record the origin's next op (or a duplicate)
+        const std::uint64_t next = have(origin) + 1;
+        if (next <= minted[origin].size()) EXPECT_TRUE(log.record(minted[origin][next - 1]));
+        if (next > 1 && rng.chance(0.2)) EXPECT_FALSE(log.record(minted[origin][next - 2]));
+      } else if (pick < 0.85) {  // compact a random acknowledged prefix
+        VersionVector acked;
+        for (const std::string& o : origins) {
+          if (rng.chance(0.7)) acked[o] = static_cast<std::uint64_t>(rng.uniform_int(0, have(o)));
+        }
+        log.compact(acked);
+      } else if (pick < 0.93) {  // adopt a snapshot horizon at or past the log
+        VersionVector covered;
+        for (const std::string& o : origins) {
+          covered[o] = static_cast<std::uint64_t>(rng.uniform_int(have(o), minted[o].size()));
+        }
+        log.reset_to(covered, log.lamport());
+      } else {  // round-trip through to_json()/restore()
+        OpLog restored(log.replica());
+        restored.restore(log.to_json());
+        log = std::move(restored);
+      }
+      for (int probe = 0; probe < 4; ++probe) {
+        VersionVector known;
+        for (const std::string& o : origins) {
+          if (rng.chance(0.8)) known[o] = static_cast<std::uint64_t>(rng.uniform_int(0, 42));
+        }
+        if (rng.chance(0.1)) known["stranger"] = 5;
+        const std::vector<Op> got = log.changes_since(known);
+        const std::vector<Op> want = full_scan_changes(log, known);
+        ASSERT_EQ(describe(got), describe(want)) << "seed " << seed << " step " << step;
+      }
+    }
+  }
+}
+
+TEST(OpLogIndexTest, RestoreRejectsDescendingSeqs) {
+  OpLog source("a");
+  for (int n = 0; n < 3; ++n) source.record(source.make_local(json::Value(n)));
+  json::Value serialized = source.to_json();
+  json::Array& ops = serialized.as_object().at("ops").as_array();
+  std::swap(ops[0], ops[2]);
+  OpLog log("b");
+  EXPECT_THROW(log.restore(serialized), std::invalid_argument);
+}
+
+// ------------------------------------------------------------ Op sizing --
+
+TEST(OpWireSizeTest, SumOfPartsMatchesTheSerializedOp) {
+  util::Rng rng(7);
+  const std::vector<std::string> names = {"", "edge0", "a\"b", "back\\slash", "ctl\x01\x1f",
+                                          "caf\xc3\xa9", std::string(70, 'n')};
+  const std::vector<double> counters = {0, 1, 9, 10, 999999999999999.0, 1e15, 9007199254740992.0};
+  for (int i = 0; i < 500; ++i) {
+    Op op;
+    op.origin = names[rng.index(names.size())];
+    op.seq = static_cast<std::uint64_t>(counters[rng.index(counters.size())]);
+    op.stamp = Stamp{static_cast<std::uint64_t>(counters[rng.index(counters.size())]),
+                     names[rng.index(names.size())]};
+    if (i % 5 != 0) {
+      op.set_payload(json::Value::object(
+          {{"type", "set"}, {"key", names[rng.index(names.size())]},
+           {"value", rng.chance(0.5) ? json::Value(rng.uniform(-1e20, 1e20))
+                                     : json::Value::array({json::Value(), "x\n", -0.0})}}));
+    }  // every fifth op keeps the null payload
+    EXPECT_EQ(op.wire_size(), op.to_json().wire_size()) << op.to_json().dump();
+    EXPECT_EQ(op.wire_size(), op.wire_size());  // the cached payload size
+  }
+}
+
+// ------------------------------------------------------- payload sharing --
+
+TEST(OpPayloadSharingTest, CopiesShareNotClone) {
+  OpLog log("a");
+  Op op = log.make_local(json::Value::object({{"k", "v"}}));
+  const Op copy = op;
+  EXPECT_EQ(&copy.payload(), &op.payload());
+  log.record(op);
+  EXPECT_EQ(&log.all_ops().back().payload(), &op.payload());
+  EXPECT_EQ(&log.changes_since({}).front().payload(), &op.payload());
+  std::shared_ptr<const json::Value> part = op.share(op.payload()["k"]);
+  op.set_payload(json::Value("replaced"));  // a new payload; the old one lives on
+  EXPECT_EQ(part->as_string(), "v");
+  EXPECT_EQ(&copy.payload()["k"], part.get());
+}
+
+TEST_F(CrdtTableFixture, AppliedOpSharesOnePayloadBetweenLogAndRows) {
+  sqldb::Database da, db_;
+  CrdtTable a("e0", &da), b("e1", &db_);
+  a.initialize(snapshot);
+  b.initialize(snapshot);
+  da.execute("INSERT INTO t (k, v) VALUES ('new', 7)");
+  ASSERT_EQ(a.record_local_mutations(), 1u);
+  const std::vector<Op> shipped = a.getChanges(b.version());
+  ASSERT_EQ(shipped.size(), 1u);
+  const std::string& key = shipped[0].payload()["key"].as_string();
+  // The minting replica's log and rows share the payload...
+  EXPECT_EQ(a.find_row(key), &shipped[0].payload());
+  // ...and so do the applying replica's, with the applied op's.
+  ASSERT_EQ(b.applyChanges(shipped), 1u);
+  const std::vector<Op> logged = b.getChanges({});
+  ASSERT_EQ(logged.size(), 1u);
+  EXPECT_EQ(&logged[0].payload(), &shipped[0].payload());
+  EXPECT_EQ(b.find_row(key), &logged[0].payload());
+}
+
+TEST(CrdtJsonTest, AppliedValueAliasesTheLoggedPayload) {
+  CrdtJson a("a"), b("b");
+  a.set("x", json::Value::object({{"deep", json::Value::array({1, 2})}}));
+  const std::vector<Op> shipped = a.getChanges(b.version());
+  ASSERT_EQ(shipped.size(), 1u);
+  EXPECT_EQ(a.find("x"), &shipped[0].payload()["value"]);
+  b.applyChanges(shipped);
+  EXPECT_EQ(b.find("x"), &shipped[0].payload()["value"]);
+  EXPECT_EQ(*b.get("x"), *a.get("x"));
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 
 #include "durability/oplog_store.h"
 #include "durability/storage.h"
+#include "util/rng.h"
 
 namespace edgstr::durability {
 namespace {
@@ -18,7 +19,7 @@ crdt::Op make_op(const std::string& origin, std::uint64_t seq, double value) {
   op.origin = origin;
   op.seq = seq;
   op.stamp = crdt::Stamp{seq, origin};
-  op.payload = json::Value::object({{"k", "key" + std::to_string(seq)}, {"v", value}});
+  op.set_payload(json::Value::object({{"k", "key" + std::to_string(seq)}, {"v", value}}));
   return op;
 }
 
@@ -60,6 +61,37 @@ TEST(Crc32Test, MatchesTheIeeeCheckValue) {
   EXPECT_NE(crc32("a"), crc32("b"));
 }
 
+/// Plain bytewise CRC-32/IEEE with the table built on the spot: the
+/// oracle for the sliced implementation.
+std::uint32_t crc32_bytewise(const std::string& data) {
+  std::uint32_t table[256];
+  for (std::uint32_t i = 0; i < 256; ++i) {
+    std::uint32_t c = i;
+    for (int bit = 0; bit < 8; ++bit) c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+    table[i] = c;
+  }
+  std::uint32_t crc = 0xFFFFFFFFu;
+  for (const char ch : data) crc = table[(crc ^ static_cast<unsigned char>(ch)) & 0xFFu] ^ (crc >> 8);
+  return crc ^ 0xFFFFFFFFu;
+}
+
+TEST(Crc32Test, SlicedMatchesBytewiseOnEveryShortLengthAndLargeBuffers) {
+  util::Rng rng(4242);
+  auto random_bytes = [&](std::size_t n) {
+    std::string out(n, '\0');
+    for (char& c : out) c = static_cast<char>(rng.uniform_int(0, 255));
+    return out;
+  };
+  for (int i = 0; i < 10'000; ++i) {
+    const std::string data = random_bytes(static_cast<std::size_t>(i % 65));  // lengths 0-64
+    ASSERT_EQ(crc32(data), crc32_bytewise(data)) << "length " << data.size();
+  }
+  for (const std::size_t n : {std::size_t{1000}, std::size_t{4099}, std::size_t{65536 + 7}}) {
+    const std::string data = random_bytes(n);
+    EXPECT_EQ(crc32(data), crc32_bytewise(data)) << "length " << n;
+  }
+}
+
 // ---------------------------------------------------------------- framing --
 
 TEST(OpLogStoreTest, AppendSyncRecoverRoundtrips) {
@@ -77,7 +109,7 @@ TEST(OpLogStoreTest, AppendSyncRecoverRoundtrips) {
     const crdt::Op& op = rec.ops.at("tables")[seq - 1];
     EXPECT_EQ(op.origin, "e0");
     EXPECT_EQ(op.seq, seq);
-    EXPECT_EQ(op.payload["k"].as_string(), "key" + std::to_string(seq));
+    EXPECT_EQ(op.payload()["k"].as_string(), "key" + std::to_string(seq));
   }
   EXPECT_EQ(store.appended_ops(), 5u);
   EXPECT_EQ(store.recoveries(), 1u);

@@ -9,6 +9,7 @@
 
 #include "json/parse.h"
 #include "json/value.h"
+#include "util/strings.h"
 
 namespace edgstr::json {
 namespace {
@@ -156,6 +157,105 @@ TEST(JsonDumpTest, NumbersMatchPrintfForms) {
 TEST(JsonDumpTest, WireSizeMatchesDump) {
   Value v = Value::object({{"k", Value::array({1, 2, 3})}, {"s", "hello"}});
   EXPECT_EQ(v.wire_size(), v.dump().size());
+}
+
+/// The byte-at-a-time string escaper the writer used before it wrote
+/// unescaped runs in one piece: the oracle for byte-identical output.
+std::string escape_bytewise(const std::string& s) {
+  std::string out = "\"";
+  for (char c : s) {
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\n': out += "\\n"; break;
+      case '\r': out += "\\r"; break;
+      case '\t': out += "\\t"; break;
+      case '\b': out += "\\b"; break;
+      case '\f': out += "\\f"; break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
+          out += buf;
+        } else {
+          out.push_back(c);
+        }
+    }
+  }
+  return out + "\"";
+}
+
+std::string random_text(std::mt19937_64& rng) {
+  static const std::string kSpecial = std::string("\"\\\n\r\t\b\f\x01\x1f\x7f\x80\xff", 12) +
+                                      std::string(1, '\0');
+  std::string out;
+  const std::size_t length = rng() % 12;
+  for (std::size_t i = 0; i < length; ++i) {
+    out.push_back(rng() % 3 == 0 ? kSpecial[rng() % kSpecial.size()]
+                                 : static_cast<char>('a' + rng() % 26));
+  }
+  return out;
+}
+
+Value random_value(std::mt19937_64& rng, int depth) {
+  static const std::vector<double> kNumbers = {
+      0.0, -0.0, std::numeric_limits<double>::quiet_NaN(), std::numeric_limits<double>::infinity(),
+      -std::numeric_limits<double>::infinity(), 1e15 - 1, 1e15, -1e15, 1e15 + 0.5, 0.1, -7, 5e-324};
+  switch (rng() % (depth < 4 ? 7 : 5)) {
+    case 0: return Value();
+    case 1: return Value(rng() % 2 == 0);
+    case 2:
+      return rng() % 2 ? Value(kNumbers[rng() % kNumbers.size()])
+                       : Value(std::uniform_real_distribution<double>(-1e6, 1e6)(rng));
+    case 3:
+    case 4: return Value(random_text(rng));
+    case 5: {
+      Array arr;
+      for (std::size_t i = rng() % 4; i > 0; --i) arr.push_back(random_value(rng, depth + 1));
+      return Value(std::move(arr));  // empty a quarter of the time
+    }
+    default: {
+      Object obj;
+      for (std::size_t i = rng() % 4; i > 0; --i) {
+        obj.set(random_text(rng), random_value(rng, depth + 1));
+      }
+      return Value(std::move(obj));
+    }
+  }
+}
+
+TEST(JsonWriterSinkTest, CountAndHashSinksAgreeWithDump) {
+  std::mt19937_64 rng(20261018);
+  for (int i = 0; i < 5'000; ++i) {
+    const Value v = random_value(rng, 0);
+    const std::string text = v.dump();
+    ASSERT_EQ(v.wire_size(), text.size()) << text;
+    ASSERT_EQ(v.fnv1a(), util::fnv1a(text)) << text;
+  }
+}
+
+TEST(JsonWriterSinkTest, StringsAndNumbersMatchTheirStandaloneSizes) {
+  std::mt19937_64 rng(99);
+  for (int i = 0; i < 5'000; ++i) {
+    const std::string text = random_text(rng);
+    ASSERT_EQ(Value(text).dump(), escape_bytewise(text));
+    ASSERT_EQ(string_wire_size(text), escape_bytewise(text).size());
+    std::uint64_t bits = rng();
+    double d;
+    std::memcpy(&d, &bits, sizeof(d));
+    for (const double n : {d, static_cast<double>(static_cast<std::int64_t>(bits >> 14)), -0.0,
+                           1e15, 1e15 - 1}) {
+      ASSERT_EQ(number_wire_size(n), Value(n).dump().size()) << Value(n).dump();
+    }
+  }
+  // Every control character takes the \u00XX form or its short escape.
+  for (int c = 0; c < 0x20; ++c) {
+    const std::string one(1, static_cast<char>(c));
+    EXPECT_EQ(Value(one).dump(), escape_bytewise(one)) << c;
+  }
+  EXPECT_EQ(Value("").dump(), "\"\"");
+  EXPECT_EQ(Value(Array{}).fnv1a(), util::fnv1a("[]"));
+  EXPECT_EQ(Value(Object{}).wire_size(), 2u);
 }
 
 TEST(JsonParseTest, RoundTripsComplexDocument) {

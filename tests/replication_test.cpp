@@ -353,7 +353,7 @@ TEST(WireFormatTest, BatchedEncodingRoundTrips) {
     EXPECT_EQ(a.origin, b.origin);
     EXPECT_EQ(a.seq, b.seq);
     EXPECT_TRUE(a.stamp == b.stamp);
-    EXPECT_EQ(a.payload.dump(), b.payload.dump());
+    EXPECT_EQ(a.payload().dump(), b.payload().dump());
   }
 }
 
@@ -366,13 +366,13 @@ TEST(WireFormatTest, RoundTripsMultiOriginRunsAndForeignStamps) {
   odd.origin = "a";
   odd.seq = 1;
   odd.stamp = {9, "weird"};
-  odd.payload = json::Value("x");
+  odd.set_payload(json::Value("x"));
   msg.ops["tables"].push_back(odd);
   crdt::Op b1;
   b1.origin = "b";
   b1.seq = 5;
   b1.stamp = {11, "b"};
-  b1.payload = json::Value("y");
+  b1.set_payload(json::Value("y"));
   msg.ops["tables"].push_back(b1);
   msg.versions["tables"] = {{"a", 1}, {"b", 5}};
 

@@ -66,8 +66,8 @@ SyncMessage random_ops_message(util::Rng& rng) {
         lamport += rng.uniform_int(1, 9);
         op.stamp.counter = lamport;
         op.stamp.replica = rng.chance(0.15) ? "relay" : origin;
-        op.payload = json::Value::object(
-            {{"key", rng.token(4)}, {"value", double(rng.uniform_int(0, 1000))}});
+        op.set_payload(json::Value::object(
+            {{"key", rng.token(4)}, {"value", double(rng.uniform_int(0, 1000))}}));
         ops.push_back(std::move(op));
       }
       version[origin] = seq - 1;

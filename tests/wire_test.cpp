@@ -125,8 +125,8 @@ SyncMessage random_message(util::Rng& rng) {
         // Occasionally a relayed stamp whose replica differs from the
         // origin, forcing the explicit "r" fallback onto the wire.
         op.stamp.replica = rng.chance(0.15) ? "relay" : origin;
-        op.payload = json::Value::object(
-            {{"key", rng.token(4)}, {"value", double(rng.uniform_int(0, 1000))}});
+        op.set_payload(json::Value::object(
+            {{"key", rng.token(4)}, {"value", double(rng.uniform_int(0, 1000))}}));
         ops.push_back(std::move(op));
       }
       version[origin] = seq - 1;
@@ -139,7 +139,7 @@ SyncMessage random_message(util::Rng& rng) {
 
 bool ops_equal(const Op& a, const Op& b) {
   return a.origin == b.origin && a.seq == b.seq && a.stamp == b.stamp &&
-         a.payload.dump() == b.payload.dump();
+         a.payload().dump() == b.payload().dump();
 }
 
 TEST(WireRoundTripProperty, DecodeOfEncodeIsIdentity) {

@@ -107,13 +107,18 @@ bool LwwMap::operator==(const LwwMap& other) const {
 }
 
 std::string LwwMap::digest() const {
-  // Keys come from a std::map, so they are unique: append, never set.
-  json::Object live;
-  live.reserve(live_);
+  // The dump() of an object holding the live entries in key order, written
+  // piece by piece instead of copying every value into a json::Object.
+  std::string out = "{";
   for (const auto& [key, entry] : entries_) {
-    if (!entry.deleted) live.append(key, *entry.value);
+    if (entry.deleted) continue;
+    if (out.size() > 1) out.push_back(',');
+    json::dump_string_to(key, &out);
+    out.push_back(':');
+    entry.value->dump_to(&out);
   }
-  return json::Value(std::move(live)).dump();
+  out.push_back('}');
+  return out;
 }
 
 json::Value LwwMap::to_json() const {

@@ -2,8 +2,6 @@
 
 #include <stdexcept>
 
-#include "util/strings.h"
-
 namespace edgstr::crdt {
 
 namespace {
@@ -21,7 +19,7 @@ std::string hex64(std::uint64_t v) {
 }  // namespace
 
 std::string Snapshot::content_digest(const json::Value& state) {
-  return hex64(util::fnv1a(state.dump()));
+  return hex64(state.fnv1a());  // == fnv1a(state.dump()), without the text
 }
 
 json::Value Snapshot::to_json() const {

@@ -263,9 +263,13 @@ void write_value(const Value& v, Sink& out, int indent, int depth) {
 
 std::string Value::dump() const {
   std::string out;
-  StringSink sink{out};
-  write_value(*this, sink, 0, 0);
+  dump_to(&out);
   return out;
+}
+
+void Value::dump_to(std::string* out) const {
+  StringSink sink{*out};
+  write_value(*this, sink, 0, 0);
 }
 
 std::string Value::dump_pretty() const {
@@ -285,6 +289,11 @@ std::uint64_t Value::fnv1a() const {
   HashSink sink;
   write_value(*this, sink, 0, 0);
   return sink.hash;
+}
+
+void dump_string_to(std::string_view text, std::string* out) {
+  StringSink sink{*out};
+  write_escaped(text, sink);
 }
 
 std::size_t string_wire_size(std::string_view text) {

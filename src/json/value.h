@@ -111,6 +111,8 @@ class Value {
 
   /// Serializes to compact JSON text.
   std::string dump() const;
+  /// Appends dump() to `*out`, so a caller can stream pieces into one text.
+  void dump_to(std::string* out) const;
   /// Serializes with 2-space indentation.
   std::string dump_pretty() const;
 
@@ -127,6 +129,8 @@ class Value {
   std::variant<std::nullptr_t, bool, double, std::string, Array, Object> data_;
 };
 
+/// Appends Value(text).dump() (the quoted, escaped string) to `*out`.
+void dump_string_to(std::string_view text, std::string* out);
 /// dump().size() of Value(text), counted without building it.
 std::size_t string_wire_size(std::string_view text);
 /// dump().size() of Value(number), counted without building it.

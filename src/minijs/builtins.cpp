@@ -84,12 +84,19 @@ JsValue make_fs(Interpreter&) {
   auto fs = std::make_shared<JsObject>();
   fs->set("readFile", native("fs.readFile", [](Interpreter& interp, std::vector<JsValue>& args) {
             if (!interp.filesystem()) throw JsError("fs: no filesystem bound");
-            return JsValue(interp.filesystem()->read(require_arg(args, 0, "fs.readFile").as_string()));
+            return JsValue(
+                interp.filesystem()->read_text(require_arg(args, 0, "fs.readFile").as_string()));
           }));
   fs->set("writeFile", native("fs.writeFile", [](Interpreter& interp, std::vector<JsValue>& args) {
             if (!interp.filesystem()) throw JsError("fs: no filesystem bound");
-            interp.filesystem()->write(require_arg(args, 0, "fs.writeFile").as_string(),
-                                       require_arg(args, 1, "fs.writeFile").to_display());
+            const JsValue path = require_arg(args, 0, "fs.writeFile");
+            const JsValue data = require_arg(args, 1, "fs.writeFile");
+            // A string is stored as its own body; anything else as its display text.
+            if (data.is_string()) {
+              interp.filesystem()->write(path.as_string(), data.as_text());
+            } else {
+              interp.filesystem()->write(path.as_string(), data.to_display());
+            }
             return JsValue();
           }));
   fs->set("appendFile", native("fs.appendFile", [](Interpreter& interp, std::vector<JsValue>& args) {

@@ -96,7 +96,7 @@ bool JsValue::truthy() const {
       const double d = std::get<double>(data_);
       return d != 0.0 && !std::isnan(d);
     }
-    case Type::kString: return !std::get<std::string>(data_).empty();
+    case Type::kString: return std::get<util::TextPtr>(data_)->size() != 0;
     default: return true;
   }
 }
@@ -111,7 +111,11 @@ bool JsValue::equals(const JsValue& other) const {
     case Type::kNull: return true;
     case Type::kBool: return std::get<bool>(data_) == std::get<bool>(other.data_);
     case Type::kNumber: return std::get<double>(data_) == std::get<double>(other.data_);
-    case Type::kString: return std::get<std::string>(data_) == std::get<std::string>(other.data_);
+    case Type::kString: {
+      const util::TextPtr& a = std::get<util::TextPtr>(data_);
+      const util::TextPtr& b = std::get<util::TextPtr>(other.data_);
+      return a == b || a->str() == b->str();
+    }
     case Type::kArray: {
       const auto& a = *std::get<std::shared_ptr<JsArray>>(data_);
       const auto& b = *std::get<std::shared_ptr<JsArray>>(other.data_);
@@ -178,7 +182,7 @@ std::string JsValue::to_display() const {
       std::snprintf(buf, sizeof(buf), "%g", d);
       return buf;
     }
-    case Type::kString: return std::get<std::string>(data_);
+    case Type::kString: return std::get<util::TextPtr>(data_)->str();
     case Type::kArray:
     case Type::kObject: return to_json().dump();
     case Type::kClosure: return "[function " + std::get<std::shared_ptr<Closure>>(data_)->name + "]";
@@ -196,7 +200,7 @@ json::Value JsValue::to_json() const {
     case Type::kNull: return json::Value(nullptr);
     case Type::kBool: return json::Value(std::get<bool>(data_));
     case Type::kNumber: return json::Value(std::get<double>(data_));
-    case Type::kString: return json::Value(std::get<std::string>(data_));
+    case Type::kString: return json::Value(std::get<util::TextPtr>(data_)->str());
     case Type::kArray: {
       json::Array arr;
       arr.reserve(as_array()->size());
@@ -265,11 +269,6 @@ inline std::uint64_t mix_word(std::uint64_t h, std::uint64_t w) {
   return h;
 }
 
-inline std::uint64_t mix_string(std::uint64_t h, const std::string& s) {
-  for (const char c : s) h = mix_byte(h, static_cast<unsigned char>(c));
-  return mix_word(h, s.size());
-}
-
 }  // namespace
 
 std::uint64_t JsValue::digest() const {
@@ -292,8 +291,10 @@ std::uint64_t JsValue::digest() const {
           std::memcpy(&bits, &d, sizeof(bits));
           return mix_word(mix_byte(h, 3), bits);
         }
-        case Type::kString:
-          return mix_string(mix_byte(h, 4), v.as_string());
+        case Type::kString: {
+          const util::Text& text = *v.as_text();
+          return mix_word(mix_word(mix_byte(h, 4), text.hash()), text.size());
+        }
         case Type::kArray: {
           h = mix_byte(h, 5);
           const JsArray& arr = *v.as_array();
@@ -306,7 +307,7 @@ std::uint64_t JsValue::digest() const {
           const JsObject& obj = *v.as_object();
           h = mix_word(h, obj.size());
           for (const auto& [k, val] : obj.entries()) {
-            h = mix_string(h, k);
+            h = mix_word(mix_word(h, util::fnv1a(k)), k.size());
             h = walk(val, h);
           }
           return h;

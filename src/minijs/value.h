@@ -19,6 +19,7 @@
 #include "json/value.h"
 #include "minijs/ast.h"
 #include "util/intern.h"
+#include "util/text.h"
 
 namespace edgstr::minijs {
 
@@ -102,6 +103,11 @@ struct Blob {
   std::uint64_t fingerprint = 0;
 };
 
+/// A MiniJS value. Strings are shared and immutable: a string value holds
+/// a util::Text body by reference, so copying it (an identifier read, an
+/// argument, a return) is a refcount bump, and its hash is computed at most
+/// once per body. fs.readFile returns the VFS's body itself. Arrays and
+/// objects are shared by reference, as in JavaScript.
 class JsValue {
  public:
   enum class Type { kNull, kBool, kNumber, kString, kArray, kObject, kClosure, kNative, kBlob };
@@ -111,8 +117,10 @@ class JsValue {
   JsValue(bool b) : data_(b) {}
   JsValue(double d) : data_(d) {}
   JsValue(int i) : data_(static_cast<double>(i)) {}
-  JsValue(const char* s) : data_(std::string(s)) {}
-  JsValue(std::string s) : data_(std::move(s)) {}
+  JsValue(const char* s) : data_(util::make_text(s)) {}
+  JsValue(std::string s) : data_(util::make_text(std::move(s))) {}
+  /// Shares `text` (non-null) as this string's body.
+  JsValue(util::TextPtr text) : data_(std::move(text)) {}
   JsValue(std::shared_ptr<JsArray> a) : data_(std::move(a)) {}
   JsValue(std::shared_ptr<JsObject> o) : data_(std::move(o)) {}
   JsValue(std::shared_ptr<Closure> c) : data_(std::move(c)) {}
@@ -141,7 +149,12 @@ class JsValue {
     not_a("number");
   }
   const std::string& as_string() const {
-    if (const std::string* s = std::get_if<std::string>(&data_)) return *s;
+    if (const util::TextPtr* t = std::get_if<util::TextPtr>(&data_)) return (*t)->str();
+    not_a("string");
+  }
+  /// The string's shared body.
+  const util::TextPtr& as_text() const {
+    if (const util::TextPtr* t = std::get_if<util::TextPtr>(&data_)) return *t;
     not_a("string");
   }
   const std::shared_ptr<JsArray>& as_array() const {
@@ -169,8 +182,9 @@ class JsValue {
   /// JavaScript truthiness.
   bool truthy() const;
 
-  /// Deep structural equality (arrays/objects by value, functions by
-  /// identity, blobs by size+fingerprint).
+  /// Deep structural equality (strings and arrays/objects by value,
+  /// functions by identity, blobs by size+fingerprint). Two strings that
+  /// share a body are equal without a byte compare.
   bool equals(const JsValue& other) const;
 
   /// Deep copy: arrays/objects are cloned recursively; functions and blobs
@@ -189,16 +203,20 @@ class JsValue {
   /// Wire size contribution: JSON size, but blobs count their full payload.
   std::uint64_t wire_size() const;
 
-  /// Structural content hash, consistent with to_json(): values whose JSON
-  /// renderings are equal digest equally (functions hash as null, blobs by
-  /// size+fingerprint). Used by the RW log and the copy-on-write snapshot
-  /// dirty check — no JSON materialization involved.
+  /// Structural content hash. Values whose to_json() texts are equal
+  /// digest equally, except that NaN and ±Infinity (which render as null)
+  /// keep their number bits. Functions hash as null and blobs by
+  /// size+fingerprint. A string mixes its body's cached FNV-1a and its
+  /// size, so a string costs O(1) after its body's first hash, however
+  /// long it is. The values are stable only within one process: the RW
+  /// log, dependence analysis and the copy-on-write snapshot dirty check
+  /// compare them for equality and never store them.
   std::uint64_t digest() const;
 
  private:
   [[noreturn]] void not_a(const char* kind) const;
 
-  std::variant<std::nullptr_t, bool, double, std::string, std::shared_ptr<JsArray>,
+  std::variant<std::nullptr_t, bool, double, util::TextPtr, std::shared_ptr<JsArray>,
                std::shared_ptr<JsObject>, std::shared_ptr<Closure>,
                std::shared_ptr<NativeFunction>, Blob>
       data_;

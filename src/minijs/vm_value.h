@@ -1,6 +1,6 @@
 // NaN-boxed value representation for the MiniJS VM operand stack.
 //
-// The tree-walker's JsValue is a 9-way std::variant — 40 bytes, with a
+// The tree-walker's JsValue is a 9-way std::variant — 24 bytes, with a
 // discriminant branch on every access. The VM keeps its operand stack in
 // 8-byte VmValues instead: doubles are stored as themselves, and every
 // non-double payload hides inside the 2^51 NaN bit patterns hardware never

@@ -24,7 +24,9 @@ bool Vfs::looks_like_path(const std::string& text) {
 
 bool Vfs::exists(const std::string& path) const { return files_.count(path) > 0; }
 
-const std::string& Vfs::read(const std::string& path) {
+const std::string& Vfs::read(const std::string& path) { return read_text(path)->str(); }
+
+util::TextPtr Vfs::read_text(const std::string& path) {
   auto it = files_.find(path);
   if (it == files_.end()) throw std::out_of_range("vfs: no such file: " + path);
   track(FileAccess::Kind::kRead, path);
@@ -32,6 +34,10 @@ const std::string& Vfs::read(const std::string& path) {
 }
 
 void Vfs::write(const std::string& path, std::string contents) {
+  write(path, util::make_text(std::move(contents)));
+}
+
+void Vfs::write(const std::string& path, util::TextPtr contents) {
   FileEntry& entry = files_[path];
   entry.contents = std::move(contents);
   ++entry.version;
@@ -39,9 +45,9 @@ void Vfs::write(const std::string& path, std::string contents) {
   track(FileAccess::Kind::kWrite, path);
 }
 
-void Vfs::append(const std::string& path, const std::string& data) {
+void Vfs::append(const std::string& path, std::string_view data) {
   FileEntry& entry = files_[path];
-  entry.contents += data;
+  util::append_text(&entry.contents, data);
   ++entry.version;
   entry.epoch = ++epoch_counter_;
   track(FileAccess::Kind::kAppend, path);
@@ -66,12 +72,12 @@ std::uint64_t Vfs::version(const std::string& path) const {
 
 std::uint64_t Vfs::fingerprint(const std::string& path) const {
   auto it = files_.find(path);
-  return it == files_.end() ? 0 : util::fnv1a(it->second.contents);
+  return it == files_.end() ? 0 : it->second.contents->hash();
 }
 
 std::uint64_t Vfs::total_bytes() const {
   std::uint64_t total = 0;
-  for (const auto& [path, entry] : files_) total += entry.contents.size();
+  for (const auto& [path, entry] : files_) total += entry.contents->size();
   return total;
 }
 
@@ -92,7 +98,7 @@ void Vfs::track(FileAccess::Kind kind, const std::string& path) {
 json::Value Vfs::snapshot() const {
   json::Object files;
   for (const auto& [path, entry] : files_) {
-    files.set(path, json::Value::object({{"contents", entry.contents},
+    files.set(path, json::Value::object({{"contents", entry.contents->str()},
                                          {"version", static_cast<double>(entry.version)}}));
   }
   return json::Value(std::move(files));
@@ -101,7 +107,7 @@ json::Value Vfs::snapshot() const {
 void Vfs::restore(const json::Value& snap) {
   files_.clear();
   for (const auto& [path, entry] : snap.as_object()) {
-    files_[path] = FileEntry{entry["contents"].as_string(),
+    files_[path] = FileEntry{util::make_text(entry["contents"].as_string()),
                              static_cast<std::uint64_t>(entry["version"].as_number()),
                              ++epoch_counter_};  // foreign content: stamp fresh
   }
@@ -114,7 +120,7 @@ std::vector<FileComponent> Vfs::component_snapshots() const {
     auto it = snapshot_cache_.find(path);
     if (it == snapshot_cache_.end() || it->second.epoch != entry.epoch) {
       auto value = std::make_shared<const json::Value>(
-          json::Value::object({{"contents", entry.contents},
+          json::Value::object({{"contents", entry.contents->str()},
                                {"version", static_cast<double>(entry.version)}}));
       const std::uint64_t bytes = value->wire_size();
       it = snapshot_cache_.insert_or_assign(path, CachedFile{entry.epoch, value, bytes}).first;
@@ -133,7 +139,7 @@ std::uint64_t Vfs::entry_epoch(const std::string& path) const {
 }
 
 void Vfs::restore_file(const std::string& path, const json::Value& entry, std::uint64_t epoch) {
-  files_[path] = FileEntry{entry["contents"].as_string(),
+  files_[path] = FileEntry{util::make_text(entry["contents"].as_string()),
                            static_cast<std::uint64_t>(entry["version"].as_number()),
                            epoch != 0 ? epoch : ++epoch_counter_};
 }
@@ -145,7 +151,7 @@ void Vfs::copy_from(const Vfs& source, const std::set<std::string>& paths) {
     auto it = source.files_.find(path);
     if (it == source.files_.end()) continue;
     // Entries come from a different Vfs lineage: re-stamp from our counter
-    // so foreign epochs never alias local ones.
+    // so foreign epochs never alias local ones. The body is shared.
     files_[path] = FileEntry{it->second.contents, it->second.version, ++epoch_counter_};
   }
 }
@@ -154,7 +160,11 @@ bool Vfs::operator==(const Vfs& other) const {
   if (files_.size() != other.files_.size()) return false;
   for (const auto& [path, entry] : files_) {
     auto it = other.files_.find(path);
-    if (it == other.files_.end() || it->second.contents != entry.contents) return false;
+    if (it == other.files_.end()) return false;
+    if (it->second.contents != entry.contents &&
+        it->second.contents->str() != entry.contents->str()) {
+      return false;
+    }
   }
   return true;
 }

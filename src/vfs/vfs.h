@@ -14,18 +14,22 @@
 #include <optional>
 #include <set>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "json/value.h"
+#include "util/text.h"
 
 namespace edgstr::vfs {
 
 /// One file: contents plus a version counter bumped on every write.
 /// `epoch` is the VFS-wide change stamp assigned at the last mutation:
 /// epoch equality implies content equality for entries sharing a Vfs
-/// lineage (the copy-on-write snapshot invariant).
+/// lineage (the copy-on-write snapshot invariant). The contents are a
+/// shared immutable body (util::Text): reads hand it out by reference, and
+/// a write or append never changes bytes another holder can see.
 struct FileEntry {
-  std::string contents;
+  util::TextPtr contents;
   std::uint64_t version = 0;
   std::uint64_t epoch = 0;
 };
@@ -55,17 +59,26 @@ class Vfs {
   bool exists(const std::string& path) const;
   /// Reads the full contents; throws std::out_of_range if absent.
   const std::string& read(const std::string& path);
+  /// The file's shared body (no copy); throws std::out_of_range if absent.
+  /// Tracked as a read, like read().
+  util::TextPtr read_text(const std::string& path);
   /// Creates or overwrites.
   void write(const std::string& path, std::string contents);
-  /// Appends to an existing file (creates it if absent).
-  void append(const std::string& path, const std::string& data);
+  /// Creates or overwrites with a shared body: the file holds `contents`
+  /// itself, so a string a script wrote is stored without a copy.
+  void write(const std::string& path, util::TextPtr contents);
+  /// Appends to an existing file (creates it if absent). Grows the body in
+  /// place when the file holds it alone; otherwise writes a new body, so a
+  /// value read earlier keeps its contents.
+  void append(const std::string& path, std::string_view data);
   /// Removes the file; returns whether it existed.
   bool remove(const std::string& path);
 
   std::vector<std::string> list() const;
   std::size_t file_count() const { return files_.size(); }
   std::uint64_t version(const std::string& path) const;
-  /// FNV-1a content fingerprint; 0 for a missing file.
+  /// FNV-1a content fingerprint (the body's cached hash); 0 for a missing
+  /// file.
   std::uint64_t fingerprint(const std::string& path) const;
 
   /// Total bytes stored (sum of file sizes).

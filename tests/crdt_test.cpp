@@ -1,10 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <cstdio>
+
 #include "crdt/files.h"
 #include "crdt/json_doc.h"
 #include "crdt/lww.h"
+#include "crdt/snapshot.h"
 #include "crdt/table.h"
 #include "util/rng.h"
+#include "util/strings.h"
 
 namespace edgstr::crdt {
 namespace {
@@ -94,6 +98,44 @@ TEST(LwwMapTest, MergeResolvesByStamp) {
 }
 
 // -------------------------------------------------------------- CrdtJson --
+
+// digest() streams its text; it must equal the dump of an object holding
+// the live entries in key order, the form it was defined by.
+TEST(LwwMapTest, DigestEqualsDumpOfLiveObject) {
+  util::Rng rng(21);
+  LwwMap map;
+  const auto reference = [&map] {
+    json::Object live;
+    for (const std::string& key : map.keys()) live.append(key, *map.find(key));
+    return json::Value(std::move(live)).dump();
+  };
+  EXPECT_EQ(map.digest(), "{}");
+  const char* keys[] = {"a", "b\"q", "\x01ctl", "k\\", "\xc3\xa9"};
+  for (std::uint64_t step = 1; step <= 200; ++step) {
+    const std::string key = keys[rng.index(5)];
+    const Stamp stamp{step, "r"};
+    if (rng.chance(0.3)) {
+      map.remove(key, stamp);
+    } else {
+      map.put(key,
+              rng.chance(0.5) ? json::Value(rng.token(4) + "\n\"")
+                              : json::Value::object({{"n", double(rng.uniform_int(-5, 5))},
+                                                     {"list", json::Value::array({-0.0, 0.5})},
+                                                     {"empty", json::Value::object({})}}),
+              stamp);
+    }
+    ASSERT_EQ(map.digest(), reference()) << "step " << step;
+  }
+}
+
+TEST(SnapshotTest, ContentDigestIsHexFnvOfDump) {
+  const json::Value state = json::Value::object(
+      {{"rows", json::Value::array({1.0, "two", json::Value()})}, {"s", "\u00e9\x01"}});
+  const std::uint64_t h = util::fnv1a(state.dump());
+  char expected[17];
+  std::snprintf(expected, sizeof(expected), "%016llx", static_cast<unsigned long long>(h));
+  EXPECT_EQ(Snapshot::content_digest(state), expected);
+}
 
 TEST(CrdtJsonTest, SetGetAndChanges) {
   CrdtJson a("edge0");

@@ -811,5 +811,69 @@ INSTANTIATE_TEST_SUITE_P(Engines, MiniJsTeardown, ::testing::Values(false, true)
                            return std::string(info.param ? "Vm" : "TreeWalker");
                          });
 
+// Strings are shared immutable bodies (util::Text) from the VFS through
+// MiniJS values: reading a file, copying a value and writing a string back
+// move no bytes, and no write or append changes a string a script already
+// holds (param: InterpreterConfig::vm).
+class MiniJsStringSharing : public ::testing::TestWithParam<bool> {
+ protected:
+  std::unique_ptr<Interpreter> start(const std::string& source) {
+    InterpreterConfig config;
+    config.vm = GetParam();
+    auto interp = std::make_unique<Interpreter>(parse_program(source), config);
+    interp->bind_vfs(&fs_);
+    interp->run_toplevel();
+    return interp;
+  }
+  const util::Text* body(Interpreter& interp, const std::string& name) {
+    return interp.globals()->get(name).as_text().get();
+  }
+
+  vfs::Vfs fs_;
+};
+
+TEST(MiniJsValue, CopiedStringSharesItsBody) {
+  EXPECT_LE(sizeof(JsValue), 24u);
+  const JsValue a(std::string(1000, 'x'));
+  const JsValue b = a;  // NOLINT(performance-unnecessary-copy-initialization)
+  EXPECT_EQ(a.as_text(), b.as_text());
+  EXPECT_TRUE(a.equals(b));
+  EXPECT_TRUE(a.equals(JsValue(std::string(1000, 'x'))));
+  EXPECT_FALSE(a.equals(JsValue(std::string(1000, 'y'))));
+}
+
+TEST_P(MiniJsStringSharing, ReadFileReturnsTheVfsBody) {
+  fs_.write("models/m.bin", std::string(4096, 'w'));
+  auto interp = start("var weights = fs.readFile(\"models/m.bin\"); var alias = weights;");
+  const util::Text* stored = fs_.read_text("models/m.bin").get();
+  EXPECT_EQ(body(*interp, "weights"), stored);
+  EXPECT_EQ(body(*interp, "alias"), stored);
+}
+
+TEST_P(MiniJsStringSharing, WriteFileStoresTheStringsBody) {
+  auto interp = start("var s = pad(\"ab\", 5000); fs.writeFile(\"out.bin\", s);"
+                      "fs.writeFile(\"n.txt\", 42);");
+  EXPECT_EQ(fs_.read_text("out.bin").get(), body(*interp, "s"));
+  EXPECT_EQ(fs_.read("n.txt"), "42");  // non-strings still store their display text
+}
+
+TEST_P(MiniJsStringSharing, ReadValueKeepsItsContentsAcrossAppendAndWrite) {
+  fs_.write("log.txt", "a;");
+  auto interp = start(
+      "var before = fs.readFile(\"log.txt\");"
+      "fs.appendFile(\"log.txt\", \"b;\");"
+      "var middle = fs.readFile(\"log.txt\");"
+      "fs.writeFile(\"log.txt\", \"fresh\");");
+  EXPECT_EQ(interp->globals()->get("before").as_string(), "a;");
+  EXPECT_EQ(interp->globals()->get("middle").as_string(), "a;b;");
+  EXPECT_EQ(fs_.read("log.txt"), "fresh");
+  EXPECT_EQ(fs_.fingerprint("log.txt"), util::fnv1a("fresh"));
+}
+
+INSTANTIATE_TEST_SUITE_P(Engines, MiniJsStringSharing, ::testing::Values(false, true),
+                         [](const ::testing::TestParamInfo<bool>& info) {
+                           return std::string(info.param ? "Vm" : "TreeWalker");
+                         });
+
 }  // namespace
 }  // namespace edgstr::minijs

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
+
+#include <map>
+
 #include "json/parse.h"
+#include "util/rng.h"
 
 #include "trace/fuzzer.h"
 #include "trace/rwlog.h"
@@ -49,6 +53,83 @@ TEST(ValueDigestTest, BlobDigestTracksFingerprint) {
             value_digest(minijs::JsValue(minijs::Blob{100, 2})));
   EXPECT_EQ(value_digest(minijs::JsValue(minijs::Blob{100, 1})),
             value_digest(minijs::JsValue(minijs::Blob{100, 1})));
+}
+
+// A random nested value from a small domain, so that many pairs render to
+// the same JSON text: strings mixing a two-letter alphabet with arbitrary
+// bytes, -0 next to 0, and empty arrays and objects. NaN and ±Infinity are
+// left out: they render as null but keep their number bits in the digest.
+minijs::JsValue random_value(util::Rng& rng, int depth) {
+  switch (rng.uniform_int(0, depth > 0 ? 5 : 3)) {
+    case 0: return rng.chance(0.5) ? minijs::JsValue() : minijs::JsValue(rng.chance(0.5));
+    case 1: {
+      static const double kNumbers[] = {0.0, -0.0, 1.0, -1.5, 0.1, 1e15, 123456789012.0};
+      return minijs::JsValue(kNumbers[rng.index(7)]);
+    }
+    case 2:
+    case 3: {
+      std::string s;
+      const auto length = rng.uniform_int(0, 3);
+      for (std::int64_t i = 0; i < length; ++i) {
+        s.push_back(rng.chance(0.8) ? "ab"[rng.index(2)] : static_cast<char>(rng.uniform_int(0, 255)));
+      }
+      return minijs::JsValue(std::move(s));
+    }
+    case 4: {
+      minijs::JsArray items;
+      const auto length = rng.uniform_int(0, 2);
+      for (std::int64_t i = 0; i < length; ++i) items.push_back(random_value(rng, depth - 1));
+      return minijs::JsValue::new_array(std::move(items));
+    }
+    default: {
+      minijs::JsValue obj = minijs::JsValue::new_object();
+      const auto length = rng.uniform_int(0, 2);
+      for (std::int64_t i = 0; i < length; ++i) {
+        obj.as_object()->set(rng.chance(0.5) ? "k" : "\x01\xff", random_value(rng, depth - 1));
+      }
+      return obj;
+    }
+  }
+}
+
+TEST(ValueDigestTest, JsonEqualValuesDigestEqualProperty) {
+  std::map<std::string, std::uint64_t> digest_of_text;
+  std::map<std::uint64_t, std::string> text_of_digest;
+  for (std::uint64_t seed = 1; seed <= 400; ++seed) {
+    util::Rng rng(seed);
+    const minijs::JsValue value = random_value(rng, 3);
+    const std::string text = value.to_json().dump();
+    const std::uint64_t digest = value_digest(value);
+    EXPECT_EQ(value_digest(value), digest) << "seed " << seed;  // bodies now hashed
+    // The same value through fresh, never-hashed bodies.
+    const minijs::JsValue fresh = minijs::JsValue::from_json(json::parse(text));
+    ASSERT_EQ(fresh.to_json().dump(), text) << "seed " << seed;
+    EXPECT_EQ(value_digest(fresh), digest) << "seed " << seed << ": " << text;
+    // JSON-equal <=> digest-equal across every value drawn.
+    const auto [it, fresh_text] = digest_of_text.emplace(text, digest);
+    EXPECT_EQ(it->second, digest) << "seed " << seed << ": " << text;
+    const auto [jt, fresh_digest] = text_of_digest.emplace(digest, text);
+    EXPECT_EQ(jt->second, text) << "seed " << seed << ": digest collision";
+  }
+  EXPECT_LT(digest_of_text.size(), 400u) << "no two values were JSON-equal";
+}
+
+TEST(ValueDigestTest, StringDigestCoversEveryByteValue) {
+  std::map<std::uint64_t, int> seen;
+  for (int b = 0; b < 256; ++b) {
+    const std::string s = "x" + std::string(1, static_cast<char>(b)) + "y";
+    const minijs::JsValue value(s);
+    const std::uint64_t digest = value_digest(value);
+    EXPECT_EQ(value_digest(minijs::JsValue(util::make_text(s))), digest) << "byte " << b;
+    EXPECT_EQ(value_digest(minijs::JsValue::from_json(json::Value(s))), digest) << "byte " << b;
+    EXPECT_TRUE(seen.emplace(digest, b).second) << "byte " << b << " collides";
+  }
+  // Type tags keep a string apart from the number it spells and "" apart
+  // from null; -0 keeps its sign, as its JSON text does.
+  EXPECT_NE(value_digest(minijs::JsValue("1")), value_digest(minijs::JsValue(1.0)));
+  EXPECT_NE(value_digest(minijs::JsValue("")), value_digest(minijs::JsValue()));
+  EXPECT_NE(value_digest(minijs::JsValue(0.0)), value_digest(minijs::JsValue(-0.0)));
+  EXPECT_NE(value_digest(minijs::JsValue::new_array()), value_digest(minijs::JsValue::new_object()));
 }
 
 TEST(RwCollectorTest, CapturesEventsAndFlows) {

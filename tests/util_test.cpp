@@ -12,9 +12,50 @@
 #include "util/rng.h"
 #include "util/stats.h"
 #include "util/strings.h"
+#include "util/text.h"
 
 namespace edgstr::util {
 namespace {
+
+// ----------------------------------------------------------------- Text --
+
+TEST(TextTest, HashIsFnv1aAndSurvivesInPlaceAppend) {
+  TextPtr body = make_text("model-");
+  EXPECT_EQ(body->hash(), fnv1a("model-"));
+  const Text* sole = body.get();
+  append_text(&body, "weights");  // sole owner: grows in place, hash extended
+  EXPECT_EQ(body.get(), sole);
+  EXPECT_EQ(body->str(), "model-weights");
+  EXPECT_EQ(body->hash(), fnv1a("model-weights"));
+  append_text(&body, body->str());  // appending a body to itself
+  EXPECT_EQ(body->str(), "model-weightsmodel-weights");
+  EXPECT_EQ(body->hash(), fnv1a(body->str()));
+}
+
+TEST(TextTest, AppendToASharedBodyCopies) {
+  TextPtr body = make_text("a");
+  const TextPtr reader = body;
+  append_text(&body, "b");
+  EXPECT_NE(body, reader);
+  EXPECT_EQ(reader->str(), "a");
+  EXPECT_EQ(body->str(), "ab");
+  TextPtr empty;
+  append_text(&empty, "new");
+  EXPECT_EQ(empty->str(), "new");
+}
+
+// Several threads may hash one shared body first at the same time; under
+// the thread sanitizer this must stay clean, and all must agree.
+TEST(TextTest, ConcurrentFirstHashesAgree) {
+  const TextPtr body = make_text(std::string(1 << 16, 'z'));
+  std::vector<std::uint64_t> seen(4, 0);
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < seen.size(); ++t) {
+    threads.emplace_back([&body, &seen, t] { seen[t] = body->hash(); });
+  }
+  for (std::thread& t : threads) t.join();
+  for (const std::uint64_t h : seen) EXPECT_EQ(h, fnv1a(body->str()));
+}
 
 // ------------------------------------------------------------------ Rng --
 

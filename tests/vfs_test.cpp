@@ -127,5 +127,77 @@ TEST(VfsTest, EqualityComparesContents) {
   EXPECT_FALSE(a == b);
 }
 
+TEST(VfsTest, AppendGrowsASoleOwnedBodyInPlace) {
+  Vfs fs;
+  fs.write("notes.log", "a");
+  const util::Text* sole = fs.read_text("notes.log").get();
+  for (int i = 0; i < 100; ++i) fs.append("notes.log", "b");
+  EXPECT_EQ(fs.read_text("notes.log").get(), sole);
+  EXPECT_EQ(fs.read("notes.log"), "a" + std::string(100, 'b'));
+}
+
+TEST(VfsTest, AppendAndWriteNeverChangeAHeldBody) {
+  Vfs fs;
+  fs.write("f", "one");
+  const util::TextPtr held = fs.read_text("f");
+  fs.append("f", "+two");
+  EXPECT_EQ(held->str(), "one");
+  EXPECT_NE(fs.read_text("f"), held);
+  const util::TextPtr held2 = fs.read_text("f");
+  fs.write("f", "three");
+  EXPECT_EQ(held2->str(), "one+two");
+  EXPECT_EQ(fs.read("f"), "three");
+}
+
+TEST(VfsTest, WriteStoresTheGivenBody) {
+  Vfs fs;
+  const util::TextPtr body = util::make_text("shared");
+  fs.write("f", body);
+  EXPECT_EQ(fs.read_text("f"), body);
+  Vfs copy;
+  copy.copy_from(fs, {"f"});
+  EXPECT_EQ(copy.read_text("f"), body);
+  copy.append("f", "!");  // shared with `fs`: copy-on-write
+  EXPECT_EQ(fs.read("f"), "shared");
+  EXPECT_EQ(copy.read("f"), "shared!");
+}
+
+TEST(VfsTest, FingerprintMatchesContentsAfterMixedWrites) {
+  // Seeded mix of writes, appends (sole-owned and shared bodies) and
+  // removes; the cached fingerprint must always equal a fresh hash.
+  Vfs fs;
+  std::vector<std::pair<util::TextPtr, std::string>> held;  // body, contents when read
+  std::uint64_t state = 12345;
+  const auto next = [&state] {
+    state = state * 6364136223846793005ULL + 1442695040888963407ULL;
+    return state >> 33;
+  };
+  const std::string paths[] = {"a.log", "b.txt", "c.bin"};
+  for (int step = 0; step < 600; ++step) {
+    const std::string& path = paths[next() % 3];
+    const std::size_t length = next() % 7;
+    const std::string data(length, static_cast<char>('a' + next() % 26));
+    switch (next() % 6) {
+      case 0: fs.write(path, data); break;
+      case 1: fs.write(path, util::make_text(data)); break;
+      case 2:
+      case 3: fs.append(path, data); break;
+      case 4:
+        if (fs.exists(path)) held.emplace_back(fs.read_text(path), fs.read(path));
+        break;
+      default:
+        if (next() % 4 == 0) fs.remove(path);
+        break;
+    }
+    if (held.size() > 4) held.erase(held.begin());
+    for (const std::string& p : paths) {
+      if (!fs.exists(p)) continue;
+      ASSERT_EQ(fs.fingerprint(p), util::fnv1a(fs.read(p))) << "step " << step << " " << p;
+    }
+    for (const auto& [body, contents] : held) ASSERT_EQ(body->str(), contents) << "step " << step;
+  }
+  for (const auto& [body, contents] : held) EXPECT_EQ(body->hash(), util::fnv1a(contents));
+}
+
 }  // namespace
 }  // namespace edgstr::vfs

@@ -85,7 +85,9 @@ double run_cost_table(util::MetricsRegistry& reg, bool fast_path, const std::str
     all_apps_ms += app_ms;
     reg.set(key_prefix + "total_ms." + app->name, app_ms);
     reg.set(key_prefix + "fuzz_ms." + app->name, fuzz_ms);
+    reg.set(key_prefix + "datalog_ms." + app->name, datalog_ms);
     reg.set(key_prefix + "datalog_facts." + app->name, double(facts));
+    reg.set(key_prefix + "datalog_deps." + app->name, double(deps));
     std::printf("%-15s %9.1f %9.1f %9.1f %9.1f %9.1f %10zu %9zu\n", app->name.c_str(),
                 capture_ms, init_ms, fuzz_ms, datalog_ms, extract_ms, facts, deps);
   }

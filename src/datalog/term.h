@@ -49,6 +49,14 @@ class Value {
     return *util::symbol_cstr(a) < *util::symbol_cstr(b);
   }
 
+  /// Hash over the alternative and the int or symbol id (not the text).
+  std::size_t hash() const {
+    const std::uint64_t raw = is_int() ? static_cast<std::uint64_t>(as_int())
+                                       : std::uint64_t{std::get<util::Symbol>(data_)};
+    std::uint64_t h = (raw * 2 + data_.index()) * 0x9E3779B97F4A7C15ull;
+    return static_cast<std::size_t>(h ^ (h >> 32));
+  }
+
   std::string to_string() const {
     return is_int() ? std::to_string(as_int()) : "'" + as_symbol() + "'";
   }
@@ -56,6 +64,15 @@ class Value {
  private:
   std::variant<std::int64_t, util::Symbol> data_;
 };
+
+}  // namespace edgstr::datalog
+
+template <>
+struct std::hash<edgstr::datalog::Value> {
+  std::size_t operator()(const edgstr::datalog::Value& v) const noexcept { return v.hash(); }
+};
+
+namespace edgstr::datalog {
 
 /// A term: either a variable (by name) or a ground value.
 class Term {

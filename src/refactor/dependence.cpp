@@ -1,7 +1,9 @@
 #include "refactor/dependence.h"
 
 #include <algorithm>
+#include <functional>
 #include <map>
+#include <tuple>
 
 namespace edgstr::refactor {
 
@@ -32,12 +34,12 @@ http::Verb verb_from_member(const std::string& name, bool& ok) {
 /// returns the digests a matching event must equal in a given run.
 template <typename GetDigests, typename Pred>
 std::map<std::pair<int, std::string>, std::size_t> match_in_runs(
-    const std::vector<FuzzRun>& runs, GetDigests get_digests, Pred event_matches) {
+    const std::vector<const FuzzRun*>& runs, GetDigests get_digests, Pred event_matches) {
   std::map<std::pair<int, std::string>, std::size_t> hits;  // (stmt,var) -> #runs matched
-  for (const FuzzRun& run : runs) {
-    const auto digests = get_digests(run);
+  for (const FuzzRun* run : runs) {
+    const auto digests = get_digests(*run);
     std::set<std::pair<int, std::string>> matched_this_run;
-    for (const trace::RwEvent& event : run.events) {
+    for (const trace::RwEvent& event : run->events) {
       if (!event_matches(event)) continue;
       for (const std::uint64_t d : digests) {
         if (event.digest == d) {
@@ -51,12 +53,55 @@ std::map<std::pair<int, std::string>, std::size_t> match_in_runs(
   return hits;
 }
 
-/// First trace position of (stmt, var) events of a kind in the first run.
-std::size_t first_order(const FuzzRun& run, int stmt, const std::string& var) {
+/// The candidate (stmt, var) whose first event in `run` comes earliest
+/// (`latest` = false) or latest (true), found in one pass over the trace.
+/// Every candidate matched in every run, so each has an event in `run`.
+std::pair<int, std::string> first_in_trace(const FuzzRun& run,
+                                           const std::vector<std::pair<int, std::string>>& candidates,
+                                           bool latest) {
+  std::map<std::pair<int, std::string>, std::size_t> first;
+  for (const auto& key : candidates) first.emplace(key, static_cast<std::size_t>(-1));
   for (const trace::RwEvent& event : run.events) {
-    if (event.stmt_id == stmt && event.name() == var) return event.order;
+    const auto it = first.find({event.stmt_id, event.name()});
+    if (it != first.end() && it->second == static_cast<std::size_t>(-1)) it->second = event.order;
   }
-  return static_cast<std::size_t>(-1);
+  const auto by_order = [](const auto& a, const auto& b) { return a.second < b.second; };
+  return (latest ? std::max_element(first.begin(), first.end(), by_order)
+                 : std::min_element(first.begin(), first.end(), by_order))
+      ->first;
+}
+
+/// ctrl(s, c) for every statement s guarded by control statement c
+/// (if/while/for/try headers), including function-literal bodies.
+std::vector<std::pair<int, int>> control_facts(const minijs::Program& program) {
+  std::vector<std::pair<int, int>> out;
+  std::vector<int> control_stack;
+  std::function<void(const StmtPtr&)> walk = [&](const StmtPtr& stmt) {
+    if (!stmt) return;
+    for (const int guard : control_stack) out.emplace_back(stmt->id, guard);
+    const bool is_control = stmt->kind == StmtKind::kIf || stmt->kind == StmtKind::kWhile ||
+                            stmt->kind == StmtKind::kFor || stmt->kind == StmtKind::kTryCatch;
+    if (is_control) control_stack.push_back(stmt->id);
+    for (const StmtPtr& s : stmt->stmts) walk(s);
+    if (stmt->a_block) walk(stmt->a_block);
+    if (stmt->b_block) walk(stmt->b_block);
+    if (stmt->for_init) walk(stmt->for_init);
+    if (is_control) control_stack.pop_back();
+    // Function literal bodies.
+    std::function<void(const ExprPtr&)> walk_expr = [&](const ExprPtr& e) {
+      if (!e) return;
+      if (e->kind == ExprKind::kFunction && e->body) walk(e->body);
+      walk_expr(e->a);
+      walk_expr(e->b);
+      walk_expr(e->c);
+      for (const ExprPtr& a : e->args) walk_expr(a);
+      for (const auto& [k, v] : e->entries) walk_expr(v);
+    };
+    walk_expr(stmt->expr);
+    walk_expr(stmt->for_update);
+  };
+  for (const StmtPtr& stmt : program.body) walk(stmt);
+  return out;
 }
 
 /// Collects every identifier referenced anywhere under `stmt` (including
@@ -105,15 +150,18 @@ minijs::ExprPtr find_handler(const minijs::Program& program, const http::Route& 
   return nullptr;
 }
 
+DependenceAnalyzer::DependenceAnalyzer(const minijs::Program& program)
+    : program_(program), ctrl_facts_(control_facts(program)) {}
+
 ExtractionPlan DependenceAnalyzer::analyze(const trace::FuzzReport& report) const {
   ExtractionPlan plan;
   plan.route = report.route;
 
   // Keep only successful instrumented runs (§III-E: "uses only those
   // instrumentation results that are generated by successful executions").
-  std::vector<FuzzRun> runs;
+  std::vector<const FuzzRun*> runs;
   for (const FuzzRun& run : report.runs) {
-    if (run.response.ok()) runs.push_back(run);
+    if (run.response.ok()) runs.push_back(&run);
   }
   if (runs.size() < 2) {
     plan.error = "need at least two successful fuzz runs";
@@ -138,25 +186,16 @@ ExtractionPlan DependenceAnalyzer::analyze(const trace::FuzzReport& report) cons
   }
   if (!unmar_candidates.empty()) {
     // Earliest write in trace order = the unmarshal point.
-    std::sort(unmar_candidates.begin(), unmar_candidates.end(),
-              [&](const auto& a, const auto& b) {
-                return first_order(runs[0], a.first, a.second) <
-                       first_order(runs[0], b.first, b.second);
-              });
-    plan.entry_stmt = unmar_candidates.front().first;
-    plan.unmar_var = unmar_candidates.front().second;
+    std::tie(plan.entry_stmt, plan.unmar_var) =
+        first_in_trace(*runs[0], unmar_candidates, /*latest=*/false);
   }
 
   // ---- STMT-MAR: reads tracking the response ----------------------------
   bool response_varies = false;
   for (std::size_t i = 1; i < runs.size(); ++i) {
-    if (runs[i].response_digest != runs[0].response_digest) response_varies = true;
+    if (runs[i]->response_digest != runs[0]->response_digest) response_varies = true;
   }
-  const std::vector<int> common = [&] {
-    trace::FuzzReport successful;
-    successful.runs = runs;
-    return successful.common_statements();
-  }();
+  const std::vector<int> common = trace::common_statements(runs);
 
   if (response_varies) {
     const auto mar_hits = match_in_runs(
@@ -169,20 +208,15 @@ ExtractionPlan DependenceAnalyzer::analyze(const trace::FuzzReport& report) cons
     }
     if (!mar_candidates.empty()) {
       // Latest event in trace order = the marshal (res.send) point.
-      std::sort(mar_candidates.begin(), mar_candidates.end(),
-                [&](const auto& a, const auto& b) {
-                  return first_order(runs[0], a.first, a.second) >
-                         first_order(runs[0], b.first, b.second);
-                });
-      plan.exit_stmt = mar_candidates.front().first;
-      plan.mar_var = mar_candidates.front().second;
+      std::tie(plan.exit_stmt, plan.mar_var) =
+          first_in_trace(*runs[0], mar_candidates, /*latest=*/true);
     }
   }
   if (plan.exit_stmt == 0) {
     // Constant response (or untracked): fall back to the last executed
     // statement, which for a normalized handler is the res.send call.
     std::size_t best_order = 0;
-    for (const trace::RwEvent& e : runs[0].events) {
+    for (const trace::RwEvent& e : runs[0]->events) {
       if (e.order >= best_order) {
         best_order = e.order;
         plan.exit_stmt = e.stmt_id;
@@ -197,11 +231,11 @@ ExtractionPlan DependenceAnalyzer::analyze(const trace::FuzzReport& report) cons
     // so the handler's first executed statement is the entry by definition.
     bool request_varies = false;
     for (std::size_t i = 1; i < runs.size(); ++i) {
-      if (runs[i].param_digests != runs[0].param_digests) request_varies = true;
+      if (runs[i]->param_digests != runs[0]->param_digests) request_varies = true;
     }
-    if (!request_varies && !runs[0].events.empty()) {
-      plan.entry_stmt = runs[0].events.front().stmt_id;
-      plan.unmar_var = runs[0].events.front().name();
+    if (!request_varies && !runs[0]->events.empty()) {
+      plan.entry_stmt = runs[0]->events.front().stmt_id;
+      plan.unmar_var = runs[0]->events.front().name();
       plan.entry_is_fallback = true;
     } else {
       plan.error = "could not locate unmarshal (entry) statement";
@@ -220,44 +254,13 @@ ExtractionPlan DependenceAnalyzer::analyze(const trace::FuzzReport& report) cons
   engine.add_fact("stmt_mar", {plan.exit_stmt, plan.mar_var});
 
   // FLOW facts (union across runs).
-  for (const FuzzRun& run : runs) {
-    for (const trace::FlowEdge& edge : run.flow_edges) {
+  for (const FuzzRun* run : runs) {
+    for (const trace::FlowEdge& edge : run->flow_edges) {
       engine.add_fact("flow", {edge.reader_stmt, edge.writer_stmt});
     }
   }
-  // CTRL facts from the AST: a statement depends on its guarding control
-  // statements (if/while/for/try headers).
-  {
-    std::vector<int> control_stack;
-    std::function<void(const StmtPtr&)> walk = [&](const StmtPtr& stmt) {
-      if (!stmt) return;
-      for (const int guard : control_stack) {
-        engine.add_fact("ctrl", {stmt->id, guard});
-      }
-      const bool is_control = stmt->kind == StmtKind::kIf || stmt->kind == StmtKind::kWhile ||
-                              stmt->kind == StmtKind::kFor ||
-                              stmt->kind == StmtKind::kTryCatch;
-      if (is_control) control_stack.push_back(stmt->id);
-      for (const StmtPtr& s : stmt->stmts) walk(s);
-      if (stmt->a_block) walk(stmt->a_block);
-      if (stmt->b_block) walk(stmt->b_block);
-      if (stmt->for_init) walk(stmt->for_init);
-      if (is_control) control_stack.pop_back();
-      // Function literal bodies.
-      std::function<void(const ExprPtr&)> walk_expr = [&](const ExprPtr& e) {
-        if (!e) return;
-        if (e->kind == ExprKind::kFunction && e->body) walk(e->body);
-        walk_expr(e->a);
-        walk_expr(e->b);
-        walk_expr(e->c);
-        for (const ExprPtr& a : e->args) walk_expr(a);
-        for (const auto& [k, v] : e->entries) walk_expr(v);
-      };
-      walk_expr(stmt->expr);
-      walk_expr(stmt->for_update);
-    };
-    for (const StmtPtr& stmt : program_.body) walk(stmt);
-  }
+  // CTRL facts from the AST (program-static, collected once).
+  for (const auto& [stmt, guard] : ctrl_facts_) engine.add_fact("ctrl", {stmt, guard});
   // POSTDOM facts: within every block, a later common-executed statement
   // post-dominates the earlier common-executed statements of that block.
   {
@@ -298,8 +301,8 @@ ExtractionPlan DependenceAnalyzer::analyze(const trace::FuzzReport& report) cons
   for (const StmtPtr& stmt : program_.body) {
     if (stmt->kind == StmtKind::kFunctionDecl) user_functions.insert(stmt->name);
   }
-  for (const FuzzRun& run : runs) {
-    for (const trace::InvokeEvent& inv : run.invoke_events) {
+  for (const FuzzRun* run : runs) {
+    for (const trace::InvokeEvent& inv : run->invoke_events) {
       if (user_functions.count(inv.function())) {
         engine.add_fact("actual", {inv.stmt_id, inv.function()});
         plan.called_functions.insert(inv.function());
@@ -336,24 +339,24 @@ ExtractionPlan DependenceAnalyzer::analyze(const trace::FuzzReport& report) cons
   }
 
   // ---- Replication needs -------------------------------------------------
-  for (const FuzzRun& run : runs) {
-    for (const trace::SqlEvent& sql : run.sql_events) {
+  for (const FuzzRun* run : runs) {
+    for (const trace::SqlEvent& sql : run->sql_events) {
       if (!sql.table.empty()) plan.needed_tables.insert(sql.table);
       if (sql.mutation && !sql.table.empty()) plan.mutated_tables.insert(sql.table);
     }
-    for (const trace::FileEvent& file : run.file_events) {
+    for (const trace::FileEvent& file : run->file_events) {
       plan.needed_files.insert(file.path);
       if (file.write) plan.mutated_files.insert(file.path);
     }
-    for (const std::string& table : run.state_diff.changed_tables) {
+    for (const std::string& table : run->state_diff.changed_tables) {
       plan.needed_tables.insert(table);
       plan.mutated_tables.insert(table);
     }
-    for (const std::string& file : run.state_diff.changed_files) {
+    for (const std::string& file : run->state_diff.changed_files) {
       plan.needed_files.insert(file);
       plan.mutated_files.insert(file);
     }
-    for (const std::string& global : run.state_diff.changed_globals) {
+    for (const std::string& global : run->state_diff.changed_globals) {
       plan.needed_globals.insert(global);
       plan.mutated_globals.insert(global);
     }
@@ -363,8 +366,8 @@ ExtractionPlan DependenceAnalyzer::analyze(const trace::FuzzReport& report) cons
   for (const StmtPtr& stmt : program_.body) {
     if (stmt->kind == StmtKind::kVarDecl) top_level_vars.insert(stmt->name);
   }
-  for (const FuzzRun& run : runs) {
-    for (const trace::RwEvent& e : run.events) {
+  for (const FuzzRun* run : runs) {
+    for (const trace::RwEvent& e : run->events) {
       if (top_level_vars.count(e.name())) plan.needed_globals.insert(e.name());
     }
   }

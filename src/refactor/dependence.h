@@ -22,6 +22,8 @@
 
 #include <set>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "datalog/engine.h"
 #include "minijs/ast.h"
@@ -70,13 +72,15 @@ minijs::ExprPtr find_handler(const minijs::Program& program, const http::Route& 
 
 class DependenceAnalyzer {
  public:
-  explicit DependenceAnalyzer(const minijs::Program& program) : program_(program) {}
+  explicit DependenceAnalyzer(const minijs::Program& program);
 
   /// Runs the full analysis for one service's fuzz report.
   ExtractionPlan analyze(const trace::FuzzReport& report) const;
 
  private:
   const minijs::Program& program_;
+  /// CTRL(s, c) pairs: static in the program, shared by every service.
+  std::vector<std::pair<int, int>> ctrl_facts_;
 };
 
 }  // namespace edgstr::refactor

@@ -6,11 +6,17 @@
 namespace edgstr::trace {
 
 std::vector<int> FuzzReport::common_statements() const {
+  std::vector<const FuzzRun*> all;
+  for (const FuzzRun& run : runs) all.push_back(&run);
+  return trace::common_statements(all);
+}
+
+std::vector<int> common_statements(const std::vector<const FuzzRun*>& runs) {
   if (runs.empty()) return {};
-  std::set<int> common(runs[0].executed_statements.begin(), runs[0].executed_statements.end());
+  std::set<int> common(runs[0]->executed_statements.begin(), runs[0]->executed_statements.end());
   for (std::size_t i = 1; i < runs.size(); ++i) {
-    std::set<int> current(runs[i].executed_statements.begin(),
-                          runs[i].executed_statements.end());
+    std::set<int> current(runs[i]->executed_statements.begin(),
+                          runs[i]->executed_statements.end());
     std::set<int> kept;
     std::set_intersection(common.begin(), common.end(), current.begin(), current.end(),
                           std::inserter(kept, kept.begin()));

@@ -41,9 +41,12 @@ struct FuzzReport {
   http::Route route;
   std::vector<FuzzRun> runs;
 
-  /// Statements executed in every successful run.
+  /// Statements executed in every run.
   std::vector<int> common_statements() const;
 };
+
+/// Statements executed in every one of `runs`, ascending.
+std::vector<int> common_statements(const std::vector<const FuzzRun*>& runs);
 
 class Fuzzer {
  public:

@@ -115,15 +115,18 @@ void run_cost_tables() {
   dump_metrics_json(reg, "pipeline_cost");
 }
 
+// Arg 0: text-notes (text-only state). Arg 1: fobojet, whose snapshots
+// hold a 2 MB model file and its normalization temporary.
 void BM_FullTransform(benchmark::State& state) {
-  const apps::SubjectApp& app = apps::text_notes();
+  const apps::SubjectApp& app = state.range(0) == 0 ? apps::text_notes() : apps::fobojet();
   const http::TrafficRecorder traffic = core::record_traffic(app.server_source, app.workload);
   for (auto _ : state) {
     benchmark::DoNotOptimize(
         core::Pipeline().transform(app.name, app.server_source, traffic));
   }
+  state.SetLabel(app.name);
 }
-BENCHMARK(BM_FullTransform)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_FullTransform)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
 void BM_NormalizePass(benchmark::State& state) {
   const apps::SubjectApp& app = apps::bookworm();

@@ -324,21 +324,6 @@ std::uint64_t JsValue::digest() const {
   return Walker::walk(*this, h);
 }
 
-std::uint64_t JsValue::wire_size() const {
-  if (is_blob()) return as_blob().size;
-  if (is_array()) {
-    std::uint64_t total = 2;
-    for (const JsValue& item : *as_array()) total += item.wire_size() + 1;
-    return total;
-  }
-  if (is_object()) {
-    std::uint64_t total = 2;
-    for (const auto& [k, v] : as_object()->entries()) total += k.size() + 3 + v.wire_size() + 1;
-    return total;
-  }
-  return to_json().wire_size();
-}
-
 // ---------------------------------------------------------- Environment --
 
 void Environment::init_named(std::shared_ptr<Environment> parent) {

@@ -200,9 +200,6 @@ class JsValue {
   json::Value to_json() const;
   static JsValue from_json(const json::Value& v);
 
-  /// Wire size contribution: JSON size, but blobs count their full payload.
-  std::uint64_t wire_size() const;
-
   /// Structural content hash. Values whose to_json() texts are equal
   /// digest equally, except that NaN and ±Infinity (which render as null)
   /// keep their number bits. Functions hash as null and blobs by

@@ -240,10 +240,9 @@ std::vector<TableComponent> Database::component_snapshots() const {
     auto it = snapshot_cache_.find(name);
     if (it == snapshot_cache_.end() || it->second.epoch != t.epoch()) {
       auto value = std::make_shared<const json::Value>(t.snapshot());
-      const std::uint64_t bytes = value->wire_size();
-      it = snapshot_cache_.insert_or_assign(name, CachedTable{t.epoch(), value, bytes}).first;
+      it = snapshot_cache_.insert_or_assign(name, CachedTable{t.epoch(), std::move(value)}).first;
     }
-    out.push_back(TableComponent{name, it->second.epoch, it->second.value, it->second.bytes});
+    out.push_back(TableComponent{name, it->second.epoch, it->second.value});
   }
   // Drop cache entries for tables that no longer exist.
   for (auto it = snapshot_cache_.begin(); it != snapshot_cache_.end();) {

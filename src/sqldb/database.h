@@ -47,7 +47,6 @@ struct TableComponent {
   std::string name;
   std::uint64_t epoch = 0;                    ///< Table::epoch() at serialization time
   std::shared_ptr<const json::Value> value;   ///< Table::snapshot() JSON
-  std::uint64_t bytes = 0;                    ///< cached wire size of `value`
 };
 
 class Database {
@@ -110,7 +109,6 @@ class Database {
   struct CachedTable {
     std::uint64_t epoch = 0;
     std::shared_ptr<const json::Value> value;
-    std::uint64_t bytes = 0;
   };
 
   std::map<std::string, Table> tables_;

@@ -105,9 +105,9 @@ FuzzReport Fuzzer::fuzz(const http::ServiceProfile& profile, int num_runs) {
     RwCollector collector;
     ProfilingHarness::IsolatedResult result =
         harness_.invoke_isolated(profile.route, run.request, &collector);
-    run.response = result.response;
-    run.state_diff = result.state_diff;
-    run.response_digest = value_digest(minijs::JsValue::from_json(result.response.body));
+    run.response = std::move(result.response);
+    run.state_diff = std::move(result.state_diff);
+    run.response_digest = value_digest(minijs::JsValue::from_json(run.response.body));
     run.events = collector.events();
     run.flow_edges = collector.flow_edges();
     run.sql_events = collector.sql_events();

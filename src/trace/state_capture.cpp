@@ -12,23 +12,21 @@ namespace edgstr::trace {
 
 namespace {
 
-// Serialized size of one object section {key:value,...} from cached
-// component sizes. Keys pay their JSON string-escaped length.
+// Serialized size of one object section {key:value,...}. Keys pay their
+// JSON string-escaped length.
 std::uint64_t object_section_size(const ComponentMap& components) {
   std::uint64_t total = 2;  // {}
   bool first = true;
   for (const auto& [key, comp] : components) {
     if (!first) ++total;  // comma
     first = false;
-    total += json::Value(key).wire_size() + 1 + comp.bytes;  // "key":value
+    total += json::string_wire_size(key) + 1 + comp.value->wire_size();  // "key":value
   }
   return total;
 }
 
-SnapshotComponent make_component(const json::Value& value, std::uint64_t stamp) {
-  auto shared = std::make_shared<const json::Value>(value);
-  const std::uint64_t bytes = shared->wire_size();
-  return SnapshotComponent{std::move(shared), stamp, bytes};
+SnapshotComponent make_component(json::Value value, std::uint64_t stamp) {
+  return SnapshotComponent{std::make_shared<const json::Value>(std::move(value)), stamp};
 }
 
 }  // namespace
@@ -39,7 +37,7 @@ std::uint64_t Snapshot::size_bytes() const {
   // = 33 punctuation/key bytes + the three unit bodies.
   std::uint64_t db = 13;  // {"tables":[]}
   if (!tables.empty()) {
-    for (const auto& [name, comp] : tables) db += comp.bytes;
+    for (const auto& [name, comp] : tables) db += comp.value->wire_size();
     db += tables.size() - 1;  // commas
   }
   return 33 + db + object_section_size(files) + object_section_size(globals);
@@ -72,17 +70,17 @@ Snapshot Snapshot::from_json(const json::Value& v) {
   return from_units(v["database"], v["files"], v["globals"]);
 }
 
-Snapshot Snapshot::from_units(const json::Value& database, const json::Value& files,
-                              const json::Value& globals) {
+Snapshot Snapshot::from_units(json::Value database, json::Value files, json::Value globals) {
   Snapshot snap;
-  for (const json::Value& t : database["tables"].as_array()) {
-    snap.tables.emplace(t["name"].as_string(), make_component(t, 0));
+  for (json::Value& t : database.as_object().at("tables").as_array()) {
+    std::string name = t["name"].as_string();
+    snap.tables.emplace(std::move(name), make_component(std::move(t), 0));
   }
-  for (const auto& [path, entry] : files.as_object()) {
-    snap.files.emplace(path, make_component(entry, 0));
+  for (auto& [path, entry] : files.as_object()) {
+    snap.files.emplace(std::move(path), make_component(std::move(entry), 0));
   }
-  for (const auto& [name, value] : globals.as_object()) {
-    snap.globals.emplace(name, make_component(value, 0));
+  for (auto& [name, value] : globals.as_object()) {
+    snap.globals.emplace(std::move(name), make_component(std::move(value), 0));
   }
   return snap;
 }
@@ -205,10 +203,10 @@ Snapshot ProfilingHarness::capture_now() {
   Snapshot snap;
   snap.origin = origin_id_;
   for (auto& c : db_.component_snapshots()) {
-    snap.tables.emplace(std::move(c.name), SnapshotComponent{std::move(c.value), c.epoch, c.bytes});
+    snap.tables.emplace(std::move(c.name), SnapshotComponent{std::move(c.value), c.epoch});
   }
   for (auto& c : fs_.component_snapshots()) {
-    snap.files.emplace(std::move(c.path), SnapshotComponent{std::move(c.value), c.epoch, c.bytes});
+    snap.files.emplace(std::move(c.path), SnapshotComponent{std::move(c.value), c.epoch});
   }
   snap.globals = capture_global_components();
   return snap;

@@ -17,7 +17,8 @@
 // write-tracking unsound for them. Capture serializes only components
 // whose stamp moved, restore writes only components whose stamp differs,
 // and diff_snapshots compares stamps before content — all O(state touched)
-// instead of O(total state).
+// instead of O(total state). A capture never sizes a component, and copies
+// each changed body at most once; Snapshot::size_bytes() sizes on demand.
 #pragma once
 
 #include <cstdint>
@@ -36,7 +37,6 @@ namespace edgstr::trace {
 struct SnapshotComponent {
   std::shared_ptr<const json::Value> value;  ///< serialized component state
   std::uint64_t stamp = 0;  ///< epoch (tables/files) or content digest (globals)
-  std::uint64_t bytes = 0;  ///< cached wire size of `value`
 };
 
 using ComponentMap = std::map<std::string, SnapshotComponent>;
@@ -53,7 +53,8 @@ struct Snapshot {
   std::uint64_t origin = 0;
 
   /// Serialized size — the paper's S_app baseline for cross-ISA comparison.
-  /// Exact arithmetic over cached component sizes; no serialization.
+  /// Sized on demand (captures never size): equals to_json().wire_size(),
+  /// summed over the components without building the aggregate text.
   std::uint64_t size_bytes() const;
 
   /// Unit materializers: the legacy aggregate JSON shapes, for replica
@@ -64,9 +65,9 @@ struct Snapshot {
 
   json::Value to_json() const;
   static Snapshot from_json(const json::Value& v);
-  /// Splits aggregate unit JSON into a (foreign-origin) snapshot.
-  static Snapshot from_units(const json::Value& database, const json::Value& files,
-                             const json::Value& globals);
+  /// Splits aggregate unit JSON into a (foreign-origin) snapshot, moving
+  /// each table, file and global into its component.
+  static Snapshot from_units(json::Value database, json::Value files, json::Value globals);
 };
 
 /// Which state units a single execution modified.

@@ -8,6 +8,20 @@
 
 namespace edgstr::vfs {
 
+namespace {
+
+// One file's snapshot entry {"contents":..., "version":...}. The body is
+// copied once, into the entry; an initializer list would copy it twice.
+json::Value entry_json(const FileEntry& entry) {
+  json::Object out;
+  out.reserve(2);
+  out.append("contents", json::Value(entry.contents->str()));
+  out.append("version", static_cast<double>(entry.version));
+  return json::Value(std::move(out));
+}
+
+}  // namespace
+
 bool Vfs::looks_like_path(const std::string& text) {
   if (text.empty()) return false;
   if (util::starts_with(text, "file://") || util::starts_with(text, "http://") ||
@@ -97,10 +111,8 @@ void Vfs::track(FileAccess::Kind kind, const std::string& path) {
 
 json::Value Vfs::snapshot() const {
   json::Object files;
-  for (const auto& [path, entry] : files_) {
-    files.set(path, json::Value::object({{"contents", entry.contents->str()},
-                                         {"version", static_cast<double>(entry.version)}}));
-  }
+  files.reserve(files_.size());
+  for (const auto& [path, entry] : files_) files.append(path, entry_json(entry));
   return json::Value(std::move(files));
 }
 
@@ -119,13 +131,10 @@ std::vector<FileComponent> Vfs::component_snapshots() const {
   for (const auto& [path, entry] : files_) {
     auto it = snapshot_cache_.find(path);
     if (it == snapshot_cache_.end() || it->second.epoch != entry.epoch) {
-      auto value = std::make_shared<const json::Value>(
-          json::Value::object({{"contents", entry.contents->str()},
-                               {"version", static_cast<double>(entry.version)}}));
-      const std::uint64_t bytes = value->wire_size();
-      it = snapshot_cache_.insert_or_assign(path, CachedFile{entry.epoch, value, bytes}).first;
+      auto value = std::make_shared<const json::Value>(entry_json(entry));
+      it = snapshot_cache_.insert_or_assign(path, CachedFile{entry.epoch, std::move(value)}).first;
     }
-    out.push_back(FileComponent{path, it->second.epoch, it->second.value, it->second.bytes});
+    out.push_back(FileComponent{path, it->second.epoch, it->second.value});
   }
   for (auto it = snapshot_cache_.begin(); it != snapshot_cache_.end();) {
     it = files_.count(it->first) ? std::next(it) : snapshot_cache_.erase(it);

@@ -40,7 +40,6 @@ struct FileComponent {
   std::string path;
   std::uint64_t epoch = 0;
   std::shared_ptr<const json::Value> value;  ///< {"contents":..., "version":...}
-  std::uint64_t bytes = 0;                   ///< cached wire size of `value`
 };
 
 /// Record of one file access observed during profiling.
@@ -116,7 +115,6 @@ class Vfs {
   struct CachedFile {
     std::uint64_t epoch = 0;
     std::shared_ptr<const json::Value> value;
-    std::uint64_t bytes = 0;
   };
 
   std::map<std::string, FileEntry> files_;

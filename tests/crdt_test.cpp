@@ -511,8 +511,12 @@ TEST(OpLogIndexTest, ChangesSinceMatchesFullScanUnderRandomHistories) {
       const double pick = rng.next_double();
       if (pick < 0.70) {  // record the origin's next op (or a duplicate)
         const std::uint64_t next = have(origin) + 1;
-        if (next <= minted[origin].size()) EXPECT_TRUE(log.record(minted[origin][next - 1]));
-        if (next > 1 && rng.chance(0.2)) EXPECT_FALSE(log.record(minted[origin][next - 2]));
+        if (next <= minted[origin].size()) {
+          EXPECT_TRUE(log.record(minted[origin][next - 1]));
+        }
+        if (next > 1 && rng.chance(0.2)) {
+          EXPECT_FALSE(log.record(minted[origin][next - 2]));
+        }
       } else if (pick < 0.85) {  // compact a random acknowledged prefix
         VersionVector acked;
         for (const std::string& o : origins) {

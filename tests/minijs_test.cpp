@@ -431,13 +431,6 @@ TEST(MiniJsValue, JsonRoundTripWithBlob) {
   EXPECT_EQ(back.as_object()->get("img").as_blob().fingerprint, 777u);
 }
 
-TEST(MiniJsValue, WireSizeCountsBlobPayload) {
-  auto obj = std::make_shared<JsObject>();
-  obj->set("img", JsValue(Blob{1 << 20, 1}));
-  const JsValue v{obj};
-  EXPECT_GT(v.wire_size(), std::uint64_t{1} << 20);
-}
-
 }  // namespace
 }  // namespace edgstr::minijs
 // NOTE: appended suite — interpreter resource guards.

@@ -2,7 +2,11 @@
 
 #include <map>
 
+#include "apps/app.h"
 #include "json/parse.h"
+#include "minijs/parser.h"
+#include "minijs/printer.h"
+#include "refactor/normalize.h"
 #include "util/rng.h"
 
 #include "trace/fuzzer.h"
@@ -243,6 +247,41 @@ TEST(StateCaptureTest, ReadOnlyServiceHasEmptyDiff) {
   req.params = json::Value::object({{"q", 1}});
   const auto result = harness.invoke_isolated(http::Route{http::Verb::kGet, "/peek"}, req);
   EXPECT_TRUE(result.state_diff.empty());
+}
+
+// size_bytes() sizes on demand from the shared components; it must equal
+// the serializer byte for byte at every point of a harness's life, and a
+// cow=false harness (whole-state captures) must report the same size.
+TEST(SnapshotSizeTest, SizeOnDemandMatchesSerializedSnapshotForEveryApp) {
+  HarnessOptions full;
+  full.cow = false;
+  for (const apps::SubjectApp* app : apps::all_subject_apps()) {
+    SCOPED_TRACE(app->name);
+    const std::string source =
+        minijs::print_program(refactor::normalize(minijs::parse_program(app->server_source)));
+    ProfilingHarness cow(source);
+    ProfilingHarness copy(source, minijs::InterpreterConfig(), full);
+    const auto check = [](const Snapshot& snap, const Snapshot& reference) {
+      EXPECT_EQ(snap.size_bytes(), snap.to_json().wire_size());
+      EXPECT_EQ(snap.size_bytes(), reference.size_bytes());
+    };
+    check(cow.init_snapshot(), copy.init_snapshot());
+    for (const http::HttpRequest& request : app->workload) {
+      const http::Route route{request.verb, request.path};
+      for (ProfilingHarness* harness : {&cow, &copy}) {
+        try {
+          harness->invoke(route, request);
+        } catch (const minijs::JsError&) {
+          // A failed request still leaves whatever state it wrote.
+        }
+      }
+      check(cow.capture(), copy.capture());
+    }
+    cow.restore_init();
+    copy.restore_init();
+    check(cow.capture(), copy.capture());
+    EXPECT_EQ(cow.capture().size_bytes(), cow.init_snapshot().size_bytes());
+  }
 }
 
 TEST(FuzzerTest, PerturbChangesEveryComponent) {

@@ -94,6 +94,34 @@ TEST(VfsTest, SnapshotRestoreRoundTrip) {
   EXPECT_TRUE(fs == other);
 }
 
+TEST(VfsTest, ComponentSnapshotsShareUnchangedBodies) {
+  Vfs fs;
+  fs.write("models/m.bin", std::string(1 << 16, 'w'));
+  fs.write("data/log.txt", "entry1");
+  const std::vector<FileComponent> first = fs.component_snapshots();
+  const std::vector<FileComponent> second = fs.component_snapshots();
+  ASSERT_EQ(first.size(), 2u);
+  ASSERT_EQ(second.size(), 2u);
+  for (std::size_t i = 0; i < first.size(); ++i) {
+    EXPECT_EQ(first[i].path, second[i].path);
+    EXPECT_EQ(first[i].value, second[i].value) << first[i].path;  // same shared value
+    EXPECT_EQ(first[i].epoch, second[i].epoch);
+  }
+
+  fs.append("data/log.txt", "+entry2");
+  const std::vector<FileComponent> third = fs.component_snapshots();
+  ASSERT_EQ(third.size(), 2u);
+  EXPECT_EQ(third[1].path, "models/m.bin");
+  EXPECT_EQ(third[1].value, first[1].value);  // untouched: still shared
+  EXPECT_EQ(third[0].path, "data/log.txt");
+  EXPECT_NE(third[0].value, first[0].value);
+  EXPECT_NE(third[0].epoch, first[0].epoch);
+  EXPECT_EQ(*third[0].value, json::Value::object({{"contents", "entry1+entry2"},
+                                                  {"version", 2}}));
+  EXPECT_EQ((*first[0].value)["contents"].as_string(), "entry1");  // the old value is intact
+  EXPECT_EQ(*third[0].value, fs.snapshot()["data/log.txt"]);
+}
+
 TEST(VfsTest, CopyFromSubset) {
   Vfs src;
   src.write("keep", "k");

@@ -76,37 +76,6 @@ double timed_request(netsim::SimClock& clock, Path& path, const http::HttpReques
   return latency;
 }
 
-/// Parses and strips `--lanes N` / `--lanes=N` from argv (stripping keeps
-/// the flag list clean for a later benchmark::Initialize). Returns `def`
-/// when absent. A missing, zero, signed, padded or non-numeric value
-/// prints a usage line and exits 2 rather than running a different sweep.
-inline std::size_t parse_lanes_arg(int* argc, char** argv, std::size_t def = 1) {
-  std::size_t lanes = def;
-  const auto set_lanes = [&](const char* text) {
-    std::uint64_t value = 0;
-    if (text == nullptr || !util::parse_u64(text, &value) || value == 0) {
-      std::fprintf(stderr, "usage: %s [--lanes N] [benchmark flags]  (N >= 1)\n", argv[0]);
-      std::exit(2);
-    }
-    lanes = static_cast<std::size_t>(value);
-  };
-  int w = 1;
-  for (int i = 1; i < *argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--lanes") {
-      set_lanes(i + 1 < *argc ? argv[++i] : nullptr);
-      continue;
-    }
-    if (arg.rfind("--lanes=", 0) == 0) {
-      set_lanes(argv[i] + 8);
-      continue;
-    }
-    argv[w++] = argv[i];
-  }
-  *argc = w;
-  return lanes;
-}
-
 inline void print_rule(char c = '-', int width = 78) {
   for (int i = 0; i < width; ++i) std::putchar(c);
   std::putchar('\n');

@@ -32,11 +32,10 @@ namespace {
 
 util::MetricsRegistry g_reg;  ///< headline numbers, dumped from main()
 
-sim::ScheduleConfig arm_config(bool obs_on, std::size_t lanes) {
+sim::ScheduleConfig arm_config(bool obs_on) {
   sim::ScheduleConfig config;
   config.seed = 303;
   config.rounds = 16;
-  config.lanes = lanes;
   // Churn exercises every recording site: handoffs, staleness samples,
   // crashes/rejoins, and per-request counters.
   config.workload = workload::WorkloadShape::kChurn;
@@ -60,13 +59,13 @@ double min_run_ms(const sim::ScheduleConfig& config, int reps, std::uint64_t* di
   return best;
 }
 
-void run_obs_bench(std::size_t lanes) {
-  std::printf("\n=== Observability overhead (lanes=%zu) ===\n\n", lanes);
+void run_obs_bench() {
+  std::printf("\n=== Observability overhead ===\n\n");
   constexpr int kReps = 5;
 
   std::uint64_t digest_off = 0, digest_on = 0;
-  const double off_ms = min_run_ms(arm_config(false, lanes), kReps, &digest_off);
-  const double on_ms = min_run_ms(arm_config(true, lanes), kReps, &digest_on);
+  const double off_ms = min_run_ms(arm_config(false), kReps, &digest_off);
+  const double on_ms = min_run_ms(arm_config(true), kReps, &digest_on);
   const double ratio = on_ms / off_ms;
   const bool digests_match = digest_off == digest_on;
 
@@ -109,9 +108,8 @@ void run_obs_bench(std::size_t lanes) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const std::size_t lanes = parse_lanes_arg(&argc, argv);
   benchmark::Initialize(&argc, argv);
-  run_obs_bench(lanes);
+  run_obs_bench();
   dump_metrics_json(g_reg, "obs");
   return 0;
 }

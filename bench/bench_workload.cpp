@@ -39,8 +39,8 @@ double peak_window(const workload::ArrivalSchedule& schedule) {
   return double(best);
 }
 
-void run_workload_bench(std::size_t lanes) {
-  std::printf("\n=== Adversarial workload plane (lanes=%zu) ===\n\n", lanes);
+void run_workload_bench() {
+  std::printf("\n=== Adversarial workload plane ===\n\n");
 
   // ---- zipf hot keys through the sim --------------------------------------
   {
@@ -48,7 +48,6 @@ void run_workload_bench(std::size_t lanes) {
     sim::ScheduleConfig config;
     config.seed = 101;
     config.rounds = 16;
-    config.lanes = lanes;
     config.workload = workload::WorkloadShape::kZipf;
     const sim::ScheduleResult result = sim::run_schedule(config);
     g_reg.set("workload.zipf.hot_key_share", dist.top_share(3));
@@ -82,7 +81,6 @@ void run_workload_bench(std::size_t lanes) {
     sim::ScheduleConfig config;
     config.seed = 202;
     config.rounds = 16;
-    config.lanes = lanes;
     config.workload = workload::WorkloadShape::kChurn;
     const sim::ScheduleResult result = sim::run_schedule(config);
     g_reg.set("workload.churn.migrations", double(result.migrations));
@@ -98,9 +96,8 @@ void run_workload_bench(std::size_t lanes) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const std::size_t lanes = parse_lanes_arg(&argc, argv);
   benchmark::Initialize(&argc, argv);
-  run_workload_bench(lanes);
+  run_workload_bench();
   dump_metrics_json(g_reg, "workload");
   return 0;
 }

@@ -2,14 +2,11 @@
 // replicas on one ReplicationGraph, wired with real SyncLinks over a
 // simulated network (LAN edge uplinks, fast-WAN regional uplinks).
 //
-// Each round, every edge serves a batch of client inserts on the driver
-// thread, as a deployment's proxy would; then the graph runs one digest
-// sync round and the network clock drains. Lanes enter only through the
-// graph's LaneScheduler, which fans the per-endpoint harvest out; links,
-// deliveries and applies stay on the driver thread, so replicated state,
-// sync bytes and message counts are identical at any lane count.
+// Each round, every edge serves a batch of client inserts, as a
+// deployment's proxy would; then the graph runs one digest sync round and
+// the network clock drains.
 //
-// bench_fig9_cluster measures it at full size; parallel_test and
+// bench_fig9_cluster measures it at full size; replication_test and
 // bench_regression_test pin its deterministic counters at small sizes.
 #pragma once
 
@@ -20,7 +17,6 @@
 #include <vector>
 
 #include "netsim/network.h"
-#include "runtime/lane_scheduler.h"
 #include "runtime/replication_graph.h"
 #include "runtime/service_runtime.h"
 #include "sqldb/parser.h"
@@ -32,10 +28,8 @@ class ScaledHierarchy {
   /// Disjoint user slice per edge; the population is edges * this.
   static constexpr std::size_t kUsersPerEdge = 512;
 
-  /// `edges` edges under ceil(edges / fanout) regionals under one cloud,
-  /// with a `lanes`-lane scheduler attached to the graph.
-  ScaledHierarchy(std::size_t edges, std::size_t fanout, std::size_t lanes)
-      : scheduler_(lanes, /*seed=*/1) {
+  /// `edges` edges under ceil(edges / fanout) regionals under one cloud.
+  ScaledHierarchy(std::size_t edges, std::size_t fanout) {
     add("cloud");
     std::vector<std::string> regionals;
     for (std::size_t r = 0; r * fanout < edges; ++r) {
@@ -55,7 +49,6 @@ class ScaledHierarchy {
       }
       runtime::wire_star(graph_, regionals[r], slice);
     }
-    graph_.set_lane_scheduler(&scheduler_);
   }
 
   /// `rounds` rounds of `ops_per_edge` inserts at every edge, one sync
@@ -108,9 +101,8 @@ class ScaledHierarchy {
   }
 
   // Declaration order is teardown order in reverse: the graph (and the
-  // replica states it owns) goes before the services and the scheduler.
+  // replica states it owns) goes before the services.
   std::vector<std::unique_ptr<runtime::ServiceRuntime>> services_;
-  runtime::LaneScheduler scheduler_;
   netsim::Network network_;
   runtime::ReplicationGraph graph_{network_};
   sqldb::Statement insert_ = sqldb::parse_sql("INSERT INTO events (user, v) VALUES (?, ?)");

@@ -1,6 +1,6 @@
 // sim_explore — seed-driven simulation explorer for the replication plane.
 //
-//   sim_explore --seed N [--rounds R] [--lanes L] [--workload W] [--trace]
+//   sim_explore --seed N [--rounds R] [--workload W] [--trace]
 //               [--no-variant-check] [--variant-fault] [--handoff-fault] [--slo]
 //               [--durable] [--power-loss] [--durability-fault]
 //               [--trace-out FILE] [--metrics-out FILE]
@@ -14,7 +14,7 @@
 //       request rates, staleness, sync volume); --flight-out writes the
 //       flight-recorder dump (recent per-host events) whether or not the
 //       run failed.
-//   sim_explore --sweep N [--start S] [--rounds R] [--lanes L] [--workload W]
+//   sim_explore --sweep N [--start S] [--rounds R] [--workload W]
 //               [--no-variant-check] [--handoff-fault] [--slo]
 //       Runs N consecutive seeds starting at S (default 1) and prints a
 //       report per failure. Exits nonzero when any seed fails, with the
@@ -45,12 +45,6 @@
 // offset on every crash. --durability-fault plants the deliberate
 // regression (the disk lies about fsync) the invariant exists to catch.
 //
-// --lanes L (default 1) fans the replication graph's per-round harvest out
-// over L worker lanes. Traces, state digests, and time-series exports are
-// lane-count-invariant, so a sweep at --lanes 4 checks the exact same
-// invariants as the serial sweep — plus the thread-safety of the parallel
-// sections under TSan.
-//
 // A failing seed is a complete reproduction: `sim_explore --seed N --trace`
 // re-runs the identical topology, faults, crashes, and traffic — and the
 // telemetry exports of two same-seed runs are byte-identical.
@@ -66,13 +60,13 @@
 namespace {
 
 int usage() {
-  std::cerr << "usage: sim_explore --seed N [--rounds R] [--lanes L] [--workload W] [--trace]\n"
+  std::cerr << "usage: sim_explore --seed N [--rounds R] [--workload W] [--trace]\n"
             << "                   [--no-variant-check] [--variant-fault] [--handoff-fault] [--slo]\n"
             << "                   [--durable] [--power-loss] [--durability-fault]\n"
             << "                   [--trace-out FILE] [--metrics-out FILE]\n"
             << "                   [--timeseries-out FILE] [--flight-out FILE]\n"
-            << "       sim_explore --sweep N [--start S] [--rounds R] [--lanes L]\n"
-            << "                   [--workload W] [--no-variant-check] [--handoff-fault] [--slo]\n"
+            << "       sim_explore --sweep N [--start S] [--rounds R] [--workload W]\n"
+            << "                   [--no-variant-check] [--handoff-fault] [--slo]\n"
             << "                   [--durable] [--power-loss] [--durability-fault]\n"
             << "       W: uniform | zipf | flash | churn\n";
   return 2;
@@ -105,10 +99,6 @@ int main(int argc, char** argv) {
       std::uint64_t rounds = 0;
       if (!parse_u64(args[++i], &rounds) || rounds == 0) return usage();
       config.rounds = static_cast<std::size_t>(rounds);
-    } else if (arg == "--lanes" && has_value) {
-      std::uint64_t lanes = 0;
-      if (!parse_u64(args[++i], &lanes) || lanes == 0) return usage();
-      config.lanes = static_cast<std::size_t>(lanes);
     } else if (arg == "--trace") {
       trace = true;
     } else if (arg == "--trace-out" && has_value) {

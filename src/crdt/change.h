@@ -72,8 +72,9 @@ struct Op {
  private:
   struct Payload {
     json::Value value;
-    /// value.wire_size(), or 0 until first asked. Copies of an Op on
-    /// different lanes may ask at once; they store the same number.
+    /// value.wire_size(), or 0 until first asked. Every copy of the Op
+    /// shares this cache, and racing first askers store the same number,
+    /// so a shared const payload stays safe to size from any thread.
     mutable std::atomic<std::size_t> wire_size{0};
   };
   std::shared_ptr<const Payload> payload_;

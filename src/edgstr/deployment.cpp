@@ -113,13 +113,6 @@ ThreeTierDeployment::ThreeTierDeployment(const TransformResult& transform,
   sync_->set_cloud(cloud_state_);
   sync_->graph().set_snapshot_bootstrap(config.bootstrap_snapshot_ops);
   sync_->graph().set_telemetry(&telemetry_);
-  if (config.lanes > 1) {
-    // Multi-lane deployments shard the replication graph's per-endpoint
-    // work. Single-lane deployments skip the scheduler entirely — the
-    // graph takes the unchanged serial path and no lane metrics appear.
-    lane_scheduler_ = std::make_unique<runtime::LaneScheduler>(config.lanes, config.seed);
-    sync_->graph().set_lane_scheduler(lane_scheduler_.get());
-  }
   // A rejoined replica goes back into service; regional aggregators have
   // no serving node, so only matching edge hosts flip.
   sync_->graph().set_rejoin_listener([this](const std::string& id) {
@@ -309,11 +302,6 @@ std::vector<runtime::Divergence> ThreeTierDeployment::variant_divergences() cons
 json::Value ThreeTierDeployment::metrics_snapshot() const {
   std::vector<const util::MetricsRegistry*> registries{&telemetry_.metrics(),
                                                        &sync_->graph().metrics()};
-  util::MetricsRegistry lanes;
-  if (lane_scheduler_) {
-    lane_scheduler_->export_metrics(lanes);
-    registries.push_back(&lanes);
-  }
   // Variant-execution series appear only when harnesses exist, keeping
   // variant-off snapshots byte-identical to pre-variant builds.
   util::MetricsRegistry variants;

@@ -22,7 +22,6 @@
 #include "obs/export.h"
 #include "obs/telemetry.h"
 #include "obs/watchdog.h"
-#include "runtime/lane_scheduler.h"
 #include "runtime/proxy.h"
 #include "runtime/sync_engine.h"
 #include "runtime/variant_harness.h"
@@ -46,12 +45,6 @@ struct DeploymentConfig {
   std::uint64_t seed = 42;
   SyncTopology topology = SyncTopology::kStar;
   std::size_t hierarchy_fanout = 2;  ///< edges per regional (kHierarchy)
-  /// Worker lanes for the replication graph. 1 (default) is the plain
-  /// serial path — no scheduler is even constructed. With more lanes the
-  /// graph fans its per-endpoint harvest out across them (see
-  /// ReplicationGraph::set_lane_scheduler) and the metrics snapshot gains
-  /// the `runtime.lanes.*` occupancy series.
-  std::size_t lanes = 1;
   /// Online multi-variant execution: every serving runtime (cloud + each
   /// edge) gets a VariantHarness running the service as both engine
   /// variants — "fast" (resolver + CoW, the production config) and
@@ -174,14 +167,8 @@ class ThreeTierDeployment {
   void poll_watchdog();
   void finish_watchdog();
   /// Merged metrics snapshot: request-path (`runtime.*`) histograms from
-  /// the telemetry registry plus the replication graph's `sync.*` series;
-  /// multi-lane deployments add the `runtime.lanes.*` occupancy series
-  /// (single-lane snapshots carry no lane keys at all, keeping them
-  /// byte-identical to pre-sharding builds).
+  /// the telemetry registry plus the replication graph's `sync.*` series.
   json::Value metrics_snapshot() const;
-
-  /// The deployment's lane scheduler; nullptr when config.lanes <= 1.
-  runtime::LaneScheduler* lane_scheduler() { return lane_scheduler_.get(); }
 
   /// Cluster pieces (Figure 9 benches).
   cluster::LoadBalancer& balancer() { return *balancer_; }
@@ -239,11 +226,6 @@ class ThreeTierDeployment {
  private:
   netsim::Network network_;
   obs::Telemetry telemetry_;
-  /// Present only when config.lanes > 1; attached to the replication
-  /// graph. Declared before sync_ so workers outlive nothing they touch
-  /// and are joined after the graph stops using them (reverse destruction
-  /// order: sync_ first, scheduler last among the two).
-  std::unique_ptr<runtime::LaneScheduler> lane_scheduler_;
   std::unique_ptr<runtime::Node> cloud_;
   std::vector<std::unique_ptr<runtime::Node>> edges_;
   std::shared_ptr<runtime::ReplicaState> cloud_state_;

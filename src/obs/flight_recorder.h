@@ -10,8 +10,8 @@
 // report; the nightly sweep uploads it as an artifact).
 //
 // Determinism: every event is stamped with the simulated clock and a global
-// arrival serial; recording happens on the driver thread only, so the dump
-// of a same-seed run is byte-identical at any lane count. Per-host rings
+// arrival serial; the replication plane is single-threaded, so the dump
+// of a same-seed run is byte-identical. Per-host rings
 // (rather than one global ring) keep a chatty host (sync sends) from
 // evicting the rare events (a crash) on a quiet one.
 #pragma once

@@ -91,30 +91,4 @@ void TimeSeries::clear() {
   last_window_ = -1;
 }
 
-void TimeSeries::merge(const TimeSeries& other) {
-  if (window_s_ != other.window_s_) {
-    throw std::invalid_argument("TimeSeries::merge: window widths differ");
-  }
-  for (const auto& [name, windows] : other.counters_) {
-    auto& mine = counters_[name];
-    for (const auto& [w, value] : windows) mine[w] += value;
-  }
-  for (const auto& [name, windows] : other.gauges_) {
-    auto& mine = gauges_[name];
-    for (const auto& [w, value] : windows) mine[w] = value;
-  }
-  for (const auto& [name, series] : other.histograms_) {
-    auto& mine = histograms_[name].windows;
-    for (const auto& [w, histogram] : series.windows) {
-      auto it = mine.find(w);
-      if (it == mine.end()) {
-        mine.emplace(w, histogram);
-      } else {
-        it->second.merge(histogram);
-      }
-    }
-  }
-  last_window_ = std::max(last_window_, other.last_window_);
-}
-
 }  // namespace edgstr::obs

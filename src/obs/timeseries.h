@@ -9,9 +9,8 @@
 // elastic activation both consume exactly this windowed view.
 //
 // Determinism: windows are keyed by the netsim clock and stored in sorted
-// maps, so same-seed runs export byte-identical series. Recording happens
-// on the driver thread only — the lanes run nothing but the replication
-// graph's per-endpoint harvest — so exported bytes are lane-count-invariant.
+// maps, so same-seed runs export byte-identical series. The replication
+// plane is single-threaded, so samples arrive in one order per seed.
 #pragma once
 
 #include <cstdint>
@@ -67,13 +66,6 @@ class TimeSeries {
   std::int64_t last_window() const { return last_window_; }
   bool empty() const;
   void clear();
-
-  /// Folds another series into this one (window widths must match):
-  /// counters add, gauges overwrite where the other recorded, histograms
-  /// merge bucket-wise (copied when absent here). Mirrors
-  /// MetricsRegistry::merge — fold in a fixed order to keep accumulation
-  /// deterministic.
-  void merge(const TimeSeries& other);
 
   // Sorted storage, exposed for the exporters.
   using Windows = std::map<std::int64_t, double>;

@@ -18,7 +18,7 @@
 // `watchdog.alert.<rule>` counter in that window of the time-series, and
 // as an "alert" event in the flight recorder. Evaluation consumes only
 // completed windows in order, so alerts are deterministic: same seed, same
-// alerts, at any lane count.
+// alerts.
 #pragma once
 
 #include <cstdint>

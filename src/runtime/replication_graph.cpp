@@ -4,8 +4,6 @@
 #include <cassert>
 #include <stdexcept>
 
-#include "runtime/lane_scheduler.h"
-
 namespace edgstr::runtime {
 
 ReplicaState& ReplicationGraph::add_endpoint(std::shared_ptr<ReplicaState> endpoint) {
@@ -374,24 +372,9 @@ void ReplicationGraph::tick_round() {
   // Round boundary for every link's AIMD budgets: sends still pending
   // past the loss horizon count as losses and shrink the next deltas.
   for (const GraphLink& link : links_) link.link->begin_round();
-  if (scheduler_ && scheduler_->lanes() > 1) {
-    // Parallel harvest: each endpoint's record_local() touches only that
-    // endpoint's docs (telemetry tagging is off here — no request context
-    // is active during a round), so endpoints fan out to their lanes and
-    // rejoin before the first cross-endpoint exchange. Harvests commute,
-    // so the round's observable output is identical to the serial loop.
-    for (const auto& endpoint : endpoints_) {
-      const std::string& id = endpoint->id();
-      if (!endpoint_up(id) || recovering_.count(id)) continue;
-      ReplicaState* state = endpoint.get();
-      scheduler_->submit(scheduler_->lane_for(id), [state] { state->record_local(); });
-    }
-    scheduler_->barrier();
-  } else {
-    for (const auto& endpoint : endpoints_) {
-      const std::string& id = endpoint->id();
-      if (endpoint_up(id) && !recovering_.count(id)) endpoint->record_local();
-    }
+  for (const auto& endpoint : endpoints_) {
+    const std::string& id = endpoint->id();
+    if (endpoint_up(id) && !recovering_.count(id)) endpoint->record_local();
   }
   for (const auto& endpoint : endpoints_) {
     if (endpoint_up(endpoint->id()) && recovering_.count(endpoint->id())) {
@@ -587,10 +570,6 @@ bool ReplicationGraph::converged() const {
     }
   }
   return true;
-}
-
-void ReplicationGraph::quiesce_barrier() const {
-  if (scheduler_) scheduler_->barrier();
 }
 
 bool ReplicationGraph::flush_session(const std::string& from, const std::string& to,

@@ -36,8 +36,6 @@
 
 namespace edgstr::runtime {
 
-class LaneScheduler;
-
 class ReplicationGraph {
  public:
   explicit ReplicationGraph(netsim::Network& network) : network_(network) {}
@@ -168,22 +166,6 @@ class ReplicationGraph {
   /// (`sync.staleness.*`) are sampled every round.
   void set_telemetry(obs::Telemetry* telemetry);
 
-  /// Attaches a lane scheduler (owned by the deployment). With more than
-  /// one lane, the embarrassingly-parallel part of a round — the
-  /// per-endpoint record_local() harvest — fans out across lanes (each
-  /// endpoint on its seed-derived lane) and rejoins at a barrier before any
-  /// cross-endpoint step. Link exchanges stay on the serial netsim event
-  /// loop, so deliveries, traffic stats, and telemetry bytes are identical
-  /// at any lane count.
-  /// Pass nullptr (or a 1-lane scheduler) for the plain serial path.
-  void set_lane_scheduler(LaneScheduler* scheduler) { scheduler_ = scheduler; }
-  LaneScheduler* lane_scheduler() const { return scheduler_; }
-
-  /// Barrier on the attached scheduler (no-op without one): callers that
-  /// interleave graph rounds with their own lane work quiesce here before
-  /// reading any endpoint state cross-lane (e.g. invariant checks).
-  void quiesce_barrier() const;
-
  private:
   struct GraphLink {
     std::string a;
@@ -215,7 +197,6 @@ class ReplicationGraph {
   std::map<std::string, std::uint64_t> rejoin_bytes_;
   std::map<std::string, std::uint64_t> rejoin_ops_;
   std::function<void(const std::string&)> on_rejoined_;
-  LaneScheduler* scheduler_ = nullptr;  ///< not owned; nullptr = serial
 
   obs::Telemetry* telemetry_ = nullptr;
   obs::SpanId last_round_span_ = obs::kNoSpan;  ///< previous round, for duration

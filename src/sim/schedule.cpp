@@ -123,7 +123,6 @@ ScheduleResult run_schedule(const ScheduleConfig& config) {
   core::DeploymentConfig dep;
   dep.start_sync = false;  // the schedule drives sync rounds explicitly
   dep.seed = rng.next_u64();
-  dep.lanes = config.lanes;
   dep.variant_check = config.variant_check;
   // The watchdog consumes the windowed series, so it forces capture on;
   // whether the series is *serialized* still follows capture_timeseries.
@@ -612,9 +611,6 @@ ScheduleResult run_schedule(const ScheduleConfig& config) {
   }
 
   // ---- invariants ----------------------------------------------------------
-  // Global quiesce barrier: any lane work the convergence loop fanned out
-  // has rejoined before the checker reads endpoint state cross-lane.
-  graph.quiesce_barrier();
   for (const auto& [id, state] : endpoints) checker.observe_versions(id, state->versions());
   checker.check_convergence(endpoints);
 

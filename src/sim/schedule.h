@@ -42,14 +42,6 @@ struct ScheduleConfig {
   /// the serialization work.
   bool capture_telemetry = false;
 
-  /// Worker lanes for the replication graph's per-round harvest fan-out
-  /// (default 1 = the serial path: no scheduler is built). The schedule,
-  /// trace, and state digest are lane-count-invariant — the harvests
-  /// commute — so a sweep can assert identical digests across lane
-  /// counts. Note metrics_snapshot gains `runtime.lanes.*` keys when
-  /// lanes > 1 (occupancy is a property of the fan-out, not the run).
-  std::size_t lanes = 1;
-
   /// Traffic shape on top of the base fault schedule. kUniform is the
   /// legacy per-burst key traffic, byte-identical to pre-workload builds.
   /// kZipf draws write keys from a seed-skewed hot-key distribution,
@@ -84,7 +76,7 @@ struct ScheduleConfig {
   /// Capture a windowed time-series of the run (request rates split
   /// local/forward/cloud, staleness samples, sync volume, crash/handoff
   /// counts) and serialize it into ScheduleResult::timeseries. Same seed =>
-  /// byte-identical series, at any lane count. Off by default; exports of
+  /// byte-identical series. Off by default; exports of
   /// capture-off runs carry the exact pre-capture bytes.
   bool capture_timeseries = false;
   double timeseries_window_s = 1.0;

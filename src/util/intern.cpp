@@ -14,18 +14,17 @@ namespace edgstr::util {
 namespace {
 
 // The table is sharded by string hash so concurrent interning from
-// different lanes rarely touches the same mutex, and the symbol -> string
+// different threads rarely touches the same mutex, and the symbol -> string
 // direction (the hot read path: every event-record format, datalog
 // compare, printer lookup) is lock-free: a spine of atomically published
 // fixed-size pointer blocks, indexed directly by symbol id. An uncontended
-// shard mutex is a single CAS, so the single-lane configuration pays no
-// more than the old shared_mutex fast path.
+// shard mutex is a single CAS, so a single-threaded caller pays no more
+// than a shared_mutex fast path would.
 //
 // Determinism note: ids are handed out in first-intern order from one
 // global counter, so two runs assign identical ids only if first-interns
-// happen in the same order. Parse/registration time interning (the normal
-// case) runs on the driver thread; lane-side code should only intern
-// strings that are already in the table.
+// happen in the same order. The simulation stack interns on one thread,
+// so its order is fixed by the program it runs.
 
 constexpr std::size_t kShardCount = 16;  // power of two
 constexpr std::size_t kBlockBits = 12;

@@ -11,10 +11,11 @@
 //
 // Thread-safety: interning is sharded by string hash (16 mutexes), and the
 // symbol -> string direction is lock-free (atomically published pointer
-// blocks indexed by id), so concurrent worker lanes neither contend on a
+// blocks indexed by id), so concurrent callers neither contend on a
 // global lock nor block each other on reads. Symbol ids follow global
-// first-intern order; intern output-visible names from the driver thread
-// if you need them byte-stable across runs.
+// first-intern order, so output-visible names are byte-stable across runs
+// only when they are first interned in the same order (the simulation
+// stack interns on one thread).
 #pragma once
 
 #include <cstdint>

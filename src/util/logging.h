@@ -14,10 +14,8 @@
 // recursing (the guard is thread_local, so one thread's sink call never
 // suppresses another thread's records). Sinks may run concurrently from
 // multiple threads; a sink that mutates shared state must synchronize
-// itself. These properties make logging safe to call from the
-// LaneScheduler's worker lanes (DESIGN.md §11) with no further changes —
-// lane-side code may log freely without perturbing determinism, because
-// log output is not part of any exported byte stream.
+// itself. Log output is not part of any exported byte stream, so logging
+// never perturbs a run's deterministic exports.
 #pragma once
 
 #include <functional>

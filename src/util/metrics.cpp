@@ -161,18 +161,6 @@ void MetricsRegistry::reset(const std::string& prefix) {
   }
 }
 
-void MetricsRegistry::merge(const MetricsRegistry& other) {
-  for (const auto& [name, value] : other.counters_) counters_[name] += value;
-  for (const auto& [name, histogram] : other.histograms_) {
-    auto it = histograms_.find(name);
-    if (it == histograms_.end()) {
-      histograms_.emplace(name, histogram);
-    } else {
-      it->second.merge(histogram);
-    }
-  }
-}
-
 std::string MetricsRegistry::format(const std::string& prefix) const {
   std::string out;
   char line[320];

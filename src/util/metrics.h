@@ -108,12 +108,6 @@ class MetricsRegistry {
   /// (empty = all).
   void reset(const std::string& prefix = {});
 
-  /// Folds another registry into this one: counters add, histograms merge
-  /// (a histogram absent here is copied, bounds and all). Folding several
-  /// registries in a fixed order keeps float accumulation — and thus
-  /// exported bytes — deterministic.
-  void merge(const MetricsRegistry& other);
-
   /// "name value" lines for every counter under `prefix`, followed by one
   /// summary line per histogram (count/mean/p50/p95/p99), sorted by name.
   std::string format(const std::string& prefix = {}) const;

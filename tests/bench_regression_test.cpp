@@ -156,13 +156,13 @@ void measure_interp_counters(json::Object* measured) {
 
 /// Scaled-down fig9 (cluster scaling): bench_fig9_cluster's hierarchy on
 /// the replication graph, shrunk to 16 edges under fanout 4, 4 rounds of 4
-/// inserts per edge, at 4 lanes. The keys are deterministic sync counters
+/// inserts per edge. The keys are deterministic sync counters
 /// — wire bytes, messages and rounds to converge — so the ±15% gate
 /// catches digest-protocol or batching drift on a multi-hop topology; the
 /// bench's wall-clock ops/s stays out of the gate.
 void measure_scaled_hierarchy(json::Object* measured) {
   constexpr std::size_t kEdges = 16, kFanout = 4, kRounds = 4, kOpsPerEdgeRound = 4;
-  bench::ScaledHierarchy world(kEdges, kFanout, /*lanes=*/4);
+  bench::ScaledHierarchy world(kEdges, kFanout);
   world.drive(kRounds, kOpsPerEdgeRound);
   const int rounds = world.rounds_to_converge();
   ASSERT_GE(rounds, 0) << "scaled hierarchy did not converge";
@@ -314,8 +314,8 @@ TEST(BenchRegressionTest, SyncBytesAndLatencyStayNearBaseline) {
 /// Observability overhead gate (scaled-down bench_obs): the same seeded
 /// churn schedule runs with the full obs plane (time-series capture +
 /// flight recorder + SLO watchdog) off and on, min-of-reps on both arms.
-/// Each arm is timed in this thread's CPU time: run_schedule at one lane
-/// runs entirely on the calling thread, and CPU time does not count the
+/// Each arm is timed in this thread's CPU time: run_schedule runs entirely
+/// on the calling thread, and CPU time does not count the
 /// time the thread spends descheduled, so other processes contending for
 /// the cores do not inflate either arm.
 /// The capture-on arm gets a 5% budget — the plane's whole pitch is that
@@ -327,7 +327,6 @@ TEST(BenchRegressionTest, ObservabilityOverheadStaysWithinBudget) {
     config.seed = 303;
     config.rounds = 8;
     config.workload = workload::WorkloadShape::kChurn;
-    config.lanes = 1;  // single-threaded, so thread CPU time is the whole cost
     config.capture_timeseries = obs_on;
     config.flight_ring = obs_on ? 96 : 0;
     config.slo_watchdog = obs_on;

@@ -1,5 +1,6 @@
 // Replication plane: ReplicationGraph topologies, batched wire encoding,
-// op-log compaction horizons, sync metrics, and convergence during rejoin.
+// op-log compaction horizons, sync metrics, convergence during rejoin, and
+// the fig9 scaled hierarchy (bench/scaled_hierarchy.h) at a small size.
 #include <gtest/gtest.h>
 
 #include "apps/app.h"
@@ -9,6 +10,7 @@
 #include "runtime/batch_budget.h"
 #include "runtime/replication_graph.h"
 #include "runtime/sync_engine.h"
+#include "scaled_hierarchy.h"
 #include "trace/state_capture.h"
 
 namespace edgstr::core {
@@ -574,11 +576,9 @@ TEST(SyncMetricsTest, StalenessGaugeTracksDivergedEndpoints) {
 
 // A restarted edge that cannot reach any neighbor is still rejoining: it is
 // not serving and its state lags the cloud's, so the graph has not
-// converged, at any lane count. Once the partition heals, the rejoin lands
-// and the same query turns green.
-class RejoinConvergenceTest : public ::testing::TestWithParam<std::size_t> {};
-
-TEST_P(RejoinConvergenceTest, PartitionedRejoinIsNotConverged) {
+// converged. Once the partition heals, the rejoin lands and the same query
+// turns green.
+TEST(RejoinConvergenceTest, PartitionedRejoinIsNotConverged) {
   const apps::SubjectApp& app = apps::sensor_hub();
   const http::TrafficRecorder traffic = record_traffic(app.server_source, app.workload);
   const TransformResult result = Pipeline().transform(app.name, app.server_source, traffic);
@@ -586,7 +586,6 @@ TEST_P(RejoinConvergenceTest, PartitionedRejoinIsNotConverged) {
 
   DeploymentConfig config;
   config.start_sync = false;
-  config.lanes = GetParam();
   ThreeTierDeployment three(result, config);
 
   http::HttpRequest ingest;
@@ -610,10 +609,38 @@ TEST_P(RejoinConvergenceTest, PartitionedRejoinIsNotConverged) {
   EXPECT_EQ(three.edge_state(0).state_digest(), three.cloud_state().state_digest());
 }
 
-INSTANTIATE_TEST_SUITE_P(Lanes, RejoinConvergenceTest, ::testing::Values(1, 4),
-                         [](const ::testing::TestParamInfo<std::size_t>& info) {
-                           return "lanes" + std::to_string(info.param);
-                         });
+// ---------------------------------------------------------- graph hierarchy --
+
+/// Per-unit state hashes — what ReplicationGraph::converged() compares.
+std::vector<std::uint64_t> unit_hashes(const runtime::ReplicaState& replica) {
+  std::vector<std::uint64_t> out;
+  for (const runtime::DocUnit& unit : replica.docs()) out.push_back(unit.doc->state_hash());
+  return out;
+}
+
+/// The fig9 scaled scenario, shrunk: 8 edges under 2 regionals, 3 rounds
+/// of 4 inserts per edge. Returns the graph's sync metrics text.
+std::string run_small_hierarchy() {
+  bench::ScaledHierarchy world(/*edges=*/8, /*fanout=*/4);
+  world.drive(/*rounds=*/3, /*ops_per_edge=*/4);
+  EXPECT_GE(world.rounds_to_converge(), 1);
+  EXPECT_EQ(world.cloud().tables().live_rows(), 8u * 3u * 4u);  // every insert reached the cloud
+  const std::vector<std::uint64_t> cloud = unit_hashes(world.cloud());
+  for (const std::string& edge : world.edge_ids()) {
+    EXPECT_EQ(unit_hashes(world.graph().endpoint(edge)), cloud) << edge;
+  }
+  return world.graph().metrics().format();
+}
+
+TEST(GraphHierarchyTest, EveryEdgeConvergesToTheCloud) { run_small_hierarchy(); }
+
+// The graph's whole sync metrics registry — bytes and ops per endpoint and
+// doc, digest hits, batch budgets — is the same, byte for byte, on a rerun.
+TEST(GraphHierarchyTest, RerunIsByteIdentical) {
+  const std::string first = run_small_hierarchy();
+  EXPECT_FALSE(first.empty());
+  EXPECT_EQ(run_small_hierarchy(), first);
+}
 
 }  // namespace
 }  // namespace edgstr::core

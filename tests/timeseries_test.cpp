@@ -81,31 +81,6 @@ TEST(TimeSeriesTest, EmptyClearAndAddAt) {
   EXPECT_EQ(series.last_window(), -1);
 }
 
-TEST(TimeSeriesTest, MergeAddsCountersOverwritesGaugesMergesHistograms) {
-  obs::TimeSeries a(1.0), b(1.0);
-  a.add(0.5, "ops", 2.0);
-  a.set(0.5, "depth", 1.0);
-  a.set(1.5, "depth", 9.0);
-  a.observe(0.5, "lat", 0.005);
-  b.add(0.5, "ops", 3.0);
-  b.add(2.5, "ops", 1.0);
-  b.set(0.5, "depth", 4.0);  // overwrites a's window 0; a's window 1 survives
-  b.observe(0.5, "lat", 0.010);
-  b.observe(3.5, "lat", 0.020);
-
-  a.merge(b);
-  EXPECT_EQ(a.counter_at("ops", 0), 5.0);
-  EXPECT_EQ(a.counter_at("ops", 2), 1.0);
-  EXPECT_EQ(a.gauge_at("depth", 0), 4.0);
-  EXPECT_EQ(a.gauge_at("depth", 1), 9.0);
-  EXPECT_EQ(a.histogram_at("lat", 0)->count(), 2u);
-  EXPECT_EQ(a.histogram_at("lat", 3)->count(), 1u);
-  EXPECT_EQ(a.last_window(), 3);
-
-  obs::TimeSeries wider(2.0);
-  EXPECT_THROW(a.merge(wider), std::invalid_argument);
-}
-
 TEST(TimeSeriesTest, RejectsNonPositiveWindow) {
   EXPECT_THROW(obs::TimeSeries(0.0), std::invalid_argument);
   EXPECT_THROW(obs::TimeSeries(-1.0), std::invalid_argument);

@@ -104,11 +104,7 @@ void CrdtTable::materialize(const std::string& key) {
       for (auto& [table, rid_map] : rid_to_key_) {
         auto rid_it = rid_map.find(it->second);
         if (rid_it != rid_map.end() && rid_it->second == key) {
-          if (db_->has_table(table)) {
-            const std::uint64_t rid = it->second;
-            db_->table(table).delete_where(
-                [rid](const sqldb::Row& r) { return r.rid == rid; });
-          }
+          if (db_->has_table(table)) db_->delete_row(table, it->second);
           rid_map.erase(rid_it);
           break;
         }
@@ -122,14 +118,12 @@ void CrdtTable::materialize(const std::string& key) {
   std::vector<sqldb::SqlValue> cells = cells_from_json((*row)["cells"]);
 
   auto it = key_to_rid_.find(key);
-  if (it != key_to_rid_.end()) {
-    if (sqldb::Row* local = db_->table(table).find(it->second)) {
-      local->cells = std::move(cells);
-      return;
-    }
-    // Row vanished locally (shouldn't happen); fall through to re-insert.
+  if (it != key_to_rid_.end() && db_->table(table).find(it->second)) {
+    db_->update_row(table, it->second, std::move(cells));
+    return;
   }
-  const std::uint64_t rid = db_->table(table).insert(std::move(cells));
+  // New row, or one that vanished locally (shouldn't happen): insert.
+  const std::uint64_t rid = db_->insert_row(table, std::move(cells));
   key_to_rid_[key] = rid;
   rid_to_key_[table][rid] = key;
 }
@@ -151,9 +145,9 @@ std::size_t CrdtTable::applyChanges(const std::vector<Op>& ops) {
     materialize(key);
     ++applied;
   }
-  // Note: materialize() writes through the Table API, which bypasses the
-  // Database mutation log, so replicated rows are never re-broadcast as
-  // local edits.
+  // Note: materialize() writes through Database's replicated row writes,
+  // which stamp the table but bypass the mutation log, so replicated rows
+  // are never re-broadcast as local edits.
   return applied;
 }
 

@@ -46,15 +46,15 @@ struct DeploymentConfig {
   SyncTopology topology = SyncTopology::kStar;
   std::size_t hierarchy_fanout = 2;  ///< edges per regional (kHierarchy)
   /// Online multi-variant execution: every serving runtime (cloud + each
-  /// edge) gets a VariantHarness running the service as both engine
-  /// variants — "fast" (resolver + CoW, the production config) and
-  /// "legacy" (named lookups, the PR 5 tree-walker) — and cross-checks
+  /// edge) gets a VariantHarness running the service as three engine
+  /// variants — "fast" (resolver + CoW, the production config), "legacy"
+  /// (named lookups, the PR 5 tree-walker) and "vm" (bytecode) — and cross-checks
   /// every request's response and RW-log. Off (default) the serve path is
   /// byte-identical to pre-variant builds; on, the metrics snapshot gains
   /// the `variant.*` series.
   bool variant_check = false;
   /// Test-only: planted on the *legacy* shadow of every harness after
-  /// each pre-state restore, so divergence-detection tests can inject a
+  /// each sync from the primary, so divergence-detection tests can inject a
   /// deliberate semantic fault. Never set outside tests.
   std::function<void(runtime::ServiceRuntime&)> variant_test_fault;
   /// Windowed time-series capture (obs::TimeSeries). Off (default) the

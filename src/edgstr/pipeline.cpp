@@ -49,8 +49,7 @@ trace::Snapshot filter_snapshot(const trace::Snapshot& full,
                                 const std::set<std::string>& tables,
                                 const std::set<std::string>& files,
                                 const std::set<std::string>& globals) {
-  trace::Snapshot out;
-  out.origin = full.origin;  // components keep their stamps; origin travels along
+  trace::Snapshot out;  // components keep their stamps
   for (const auto& [name, comp] : full.tables) {
     if (tables.count(name)) out.tables.emplace(name, comp);
   }

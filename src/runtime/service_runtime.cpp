@@ -1,7 +1,6 @@
 #include "runtime/service_runtime.h"
 
 #include <chrono>
-#include <optional>
 
 #include "minijs/parser.h"
 #include "runtime/variant_harness.h"
@@ -31,6 +30,10 @@ trace::Snapshot ServiceRuntime::capture_state() {
 
 ExecutionResult ServiceRuntime::handle(const http::HttpRequest& request) {
   ExecutionResult result;
+  // The shadow variants replay first, each synced to the live pre-request
+  // state and RNG, so no snapshot is taken; the comparison waits for the
+  // result. Paid only when a harness is attached.
+  if (variant_harness_) variant_harness_->replay(*this, request);
   interp_->drain_compute_units();
   ++requests_served_;
   std::chrono::steady_clock::time_point started;
@@ -44,15 +47,6 @@ ExecutionResult ServiceRuntime::handle(const http::HttpRequest& request) {
       ic_misses_before = interp_->ic_misses();
     }
     if (wall_clock_metrics_) started = std::chrono::steady_clock::now();
-  }
-  // Pre-request state + RNG for the shadow variants: CoW capture is
-  // O(touched) and the RNG copy is four words, both paid only when a
-  // harness is attached.
-  std::optional<trace::Snapshot> pre_state;
-  util::Rng pre_rng;
-  if (variant_harness_) {
-    pre_state = capture_state();
-    pre_rng = interp_->rng();
   }
   try {
     result.response = interp_->invoke(http::Route{request.verb, request.path}, request);
@@ -85,7 +79,7 @@ ExecutionResult ServiceRuntime::handle(const http::HttpRequest& request) {
   }
   result.compute_units = interp_->drain_compute_units();
   if (variant_harness_) {
-    const std::size_t diverged = variant_harness_->check(request, *pre_state, pre_rng, result);
+    const std::size_t diverged = variant_harness_->check(request, result);
     if (telemetry_) {
       const double now = telemetry_->now();
       if (obs::TimeSeries* ts = telemetry_->timeseries()) {

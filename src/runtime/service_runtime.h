@@ -65,10 +65,10 @@ class ServiceRuntime {
   }
 
   /// Online multi-variant cross-checking: when attached, every handle()
-  /// captures the pre-request state + RNG and hands the finished result to
-  /// the harness, which replays it on each shadow engine variant and
-  /// records divergences. Detached (the default) the serve path pays one
-  /// branch, like set_telemetry.
+  /// first lets the harness replay the request on each shadow engine
+  /// variant (synced to this runtime's live state and RNG), then hands it
+  /// the finished result to compare and record divergences. Detached (the
+  /// default) the serve path pays one branch, like set_telemetry.
   void set_variant_harness(VariantHarness* harness) { variant_harness_ = harness; }
   VariantHarness* variant_harness() { return variant_harness_; }
 

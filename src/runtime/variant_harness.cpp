@@ -1,6 +1,8 @@
 #include "runtime/variant_harness.h"
 
+#include <algorithm>
 #include <sstream>
+#include <utility>
 
 namespace edgstr::runtime {
 namespace {
@@ -61,33 +63,70 @@ VariantHarness::VariantHarness(const std::string& source, std::vector<VariantSpe
   }
 }
 
+void VariantHarness::sync_globals(minijs::Interpreter& shadow) {
+  std::vector<std::pair<util::Symbol, std::uint64_t>> have;
+  shadow.globals()->each_local([&](util::Symbol sym, const minijs::JsValue& value) {
+    if (!value.is_callable()) have.emplace_back(sym, value.digest());
+  });
+  std::sort(have.begin(), have.end());
+  minijs::Environment& env = *shadow.globals();
+  auto mine = have.begin();
+  for (PrimaryGlobal& global : primary_globals_) {
+    for (; mine != have.end() && mine->first < global.sym; ++mine) env.erase_local(mine->first);
+    if (mine != have.end() && mine->first == global.sym) {
+      const bool same = mine->second == global.digest;
+      ++mine;
+      if (same) continue;
+    }
+    if (!global.dump) global.dump = global.value->to_json();
+    env.define(global.sym, minijs::JsValue::from_json(*global.dump));
+  }
+  for (; mine != have.end(); ++mine) env.erase_local(mine->first);
+}
+
+void VariantHarness::replay(ServiceRuntime& primary, const http::HttpRequest& request) {
+  primary.interpreter().globals()->each_local(
+      [&](util::Symbol sym, const minijs::JsValue& value) {
+        if (!value.is_callable()) primary_globals_.push_back({sym, &value, value.digest(), {}});
+      });
+  std::sort(primary_globals_.begin(), primary_globals_.end(),
+            [](const PrimaryGlobal& a, const PrimaryGlobal& b) { return a.sym < b.sym; });
+
+  for (Shadow& shadow : shadows_) {
+    ServiceRuntime& runtime = *shadow.runtime;
+    // Also drops the mutation log of the previous replay: shadows are
+    // comparison sandboxes, not replicas, so replayed writes never leak
+    // into sync accounting.
+    runtime.database().sync_from(primary.database());
+    runtime.filesystem().sync_from(primary.filesystem());
+    sync_globals(runtime.interpreter());
+    runtime.interpreter().rng() = primary.interpreter().rng();
+    if (shadow.spec.test_fault) shadow.spec.test_fault(runtime);
+    shadow.log.clear();
+    runtime.interpreter().set_hooks(&shadow.log);
+    shadow.result = runtime.handle(request);
+    runtime.interpreter().set_hooks(nullptr);
+  }
+  primary_globals_.clear();
+}
+
 std::size_t VariantHarness::check(const http::HttpRequest& request,
-                                  const trace::Snapshot& pre_state, const util::Rng& pre_rng,
                                   const ExecutionResult& primary) {
   ++checks_;
   const std::size_t before = divergences_.size();
 
-  std::vector<trace::RwCollector> logs(shadows_.size());
-  for (std::size_t i = 0; i < shadows_.size(); ++i) {
-    Shadow& shadow = shadows_[i];
-    shadow.runtime->restore_state(pre_state);
-    shadow.runtime->interpreter().rng() = pre_rng;
-    if (shadow.spec.test_fault) shadow.spec.test_fault(*shadow.runtime);
-    shadow.runtime->interpreter().set_hooks(&logs[i]);
-    const ExecutionResult replay = shadow.runtime->handle(request);
-    shadow.runtime->interpreter().set_hooks(nullptr);
-    // Shadows are comparison sandboxes, not replicas: drop their mutation
-    // log so replayed writes never leak into sync accounting.
-    shadow.runtime->database().drain_mutations();
-
+  const std::string primary_body = primary.response.body.dump();
+  for (const Shadow& shadow : shadows_) {
+    const ExecutionResult& replay = shadow.result;
+    std::string body = replay.response.body.dump();
     if (replay.failed != primary.failed || replay.response.status != primary.response.status ||
-        replay.response.body.dump() != primary.response.body.dump()) {
+        body != primary_body) {
       std::ostringstream detail;
       detail << "request [" << describe_request(request) << "]: primary status="
              << primary.response.status << " failed=" << primary.failed << " body="
-             << primary.response.body.dump() << " vs " << shadow.spec.name
+             << primary_body << " vs " << shadow.spec.name
              << " status=" << replay.response.status << " failed=" << replay.failed
-             << " body=" << replay.response.body.dump();
+             << " body=" << body;
       divergences_.push_back(
           Divergence{shadow.spec.name, "response", request, detail.str()});
     }
@@ -96,8 +135,8 @@ std::size_t VariantHarness::check(const http::HttpRequest& request,
   // RW-log agreement is shadow-vs-shadow: the primary serves hook-free, so
   // the first shadow's instrumented log is the reference sequence.
   for (std::size_t i = 1; i < shadows_.size(); ++i) {
-    const std::string delta = rwlog_delta(shadows_[0].spec.name, logs[0].events(),
-                                          shadows_[i].spec.name, logs[i].events());
+    const std::string delta = rwlog_delta(shadows_[0].spec.name, shadows_[0].log.events(),
+                                          shadows_[i].spec.name, shadows_[i].log.events());
     if (!delta.empty()) {
       divergences_.push_back(Divergence{
           shadows_[i].spec.name, "rwlog", request,

@@ -24,7 +24,7 @@ const Table& Database::table(const std::string& name) const {
   return it->second;
 }
 
-Table& Database::table(const std::string& name) {
+Table& Database::writable_table(const std::string& name) {
   auto it = tables_.find(name);
   if (it == tables_.end()) throw SqlError("no such table: " + name);
   return it->second;
@@ -96,7 +96,7 @@ ResultSet Database::execute(const Statement& stmt, const std::vector<SqlValue>& 
     return result;
   }
   if (const auto* insert = std::get_if<InsertStmt>(&stmt)) {
-    Table& t = table(insert->table);
+    Table& t = writable_table(insert->table);
     std::vector<SqlValue> cells(t.columns().size());
     if (insert->columns.empty()) {
       if (insert->values.size() != cells.size()) throw SqlError("INSERT value count mismatch");
@@ -153,7 +153,7 @@ ResultSet Database::execute(const Statement& stmt, const std::vector<SqlValue>& 
     return result;
   }
   if (const auto* update = std::get_if<UpdateStmt>(&stmt)) {
-    Table& t = table(update->table);
+    Table& t = writable_table(update->table);
     auto pred = compile_where(t, update->where, params);
     std::vector<std::pair<std::size_t, SqlValue>> sets;
     for (const auto& [column, expr] : update->assignments) {
@@ -170,7 +170,7 @@ ResultSet Database::execute(const Statement& stmt, const std::vector<SqlValue>& 
     return result;
   }
   if (const auto* del = std::get_if<DeleteStmt>(&stmt)) {
-    Table& t = table(del->table);
+    Table& t = writable_table(del->table);
     auto pred = compile_where(t, del->where, params);
     // Log before physically removing so we know the rids.
     for (const Row& row : t.rows()) {
@@ -262,8 +262,8 @@ void Database::restore_table(const json::Value& table_snap, std::uint64_t epoch)
   const std::string name = table.name();
   auto [it, inserted] = tables_.insert_or_assign(name, std::move(table));
   if (epoch != 0) {
-    // Same-lineage content: reinstate the stamp it carried at capture time.
-    // The monotonic counter never re-issues it, so stamp equality keeps
+    // Known content: reinstate the stamp it carried at capture time. The
+    // process-wide counter never re-issues it, so stamp equality keeps
     // implying content equality.
     it->second.set_epoch(epoch);
   } else {
@@ -277,6 +277,19 @@ bool Database::erase_table(const std::string& name) {
 }
 
 void Database::clear_mutation_log() { mutation_log_.clear(); }
+
+void Database::sync_from(const Database& source) {
+  if (in_transaction()) throw SqlError("cannot sync inside a transaction");
+  for (auto it = tables_.begin(); it != tables_.end();) {
+    it = source.tables_.count(it->first) ? std::next(it) : tables_.erase(it);
+  }
+  for (const auto& [name, t] : source.tables_) {
+    auto [it, inserted] = tables_.try_emplace(name, t);
+    // Equal nonzero stamps mean equal content (util::next_epoch).
+    if (!inserted && (t.epoch() == 0 || it->second.epoch() != t.epoch())) it->second = t;
+  }
+  mutation_log_.clear();
+}
 
 std::uint64_t Database::state_size_bytes() const { return snapshot().wire_size(); }
 
@@ -297,7 +310,7 @@ std::vector<RowMutation> Database::drain_mutations() {
 }
 
 void Database::apply_replicated(const RowMutation& mutation) {
-  Table& t = table(mutation.table);
+  Table& t = writable_table(mutation.table);
   touch(t);
   switch (mutation.kind) {
     case RowMutation::Kind::kInsert:
@@ -314,6 +327,30 @@ void Database::apply_replicated(const RowMutation& mutation) {
       t.delete_where([&](const Row& row) { return row.rid == mutation.rid; });
       break;
   }
+}
+
+std::uint64_t Database::insert_row(const std::string& table, std::vector<SqlValue> cells) {
+  Table& t = writable_table(table);
+  const std::uint64_t rid = t.insert(std::move(cells));
+  touch(t);
+  return rid;
+}
+
+bool Database::update_row(const std::string& table, std::uint64_t rid,
+                          std::vector<SqlValue> cells) {
+  Table& t = writable_table(table);
+  Row* row = t.find(rid);
+  if (!row) return false;
+  row->cells = std::move(cells);
+  touch(t);
+  return true;
+}
+
+bool Database::delete_row(const std::string& table, std::uint64_t rid) {
+  Table& t = writable_table(table);
+  if (t.delete_where([rid](const Row& row) { return row.rid == rid; }) == 0) return false;
+  touch(t);
+  return true;
 }
 
 bool Database::operator==(const Database& other) const { return tables_ == other.tables_; }

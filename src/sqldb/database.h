@@ -18,6 +18,7 @@
 
 #include "sqldb/parser.h"
 #include "sqldb/table.h"
+#include "util/epoch.h"
 
 namespace edgstr::sqldb {
 
@@ -61,8 +62,9 @@ class Database {
   ResultSet execute(const Statement& stmt, const std::vector<SqlValue>& params = {});
 
   bool has_table(const std::string& name) const { return tables_.count(name) > 0; }
+  /// Read-only: every write goes through a Database method, which stamps
+  /// the table it changes.
   const Table& table(const std::string& name) const;
-  Table& table(const std::string& name);
   std::vector<std::string> table_names() const;
 
   /// Transaction control (single level; BEGIN inside a transaction throws).
@@ -80,16 +82,23 @@ class Database {
   /// tables whose epoch moved since the last call; untouched tables return
   /// the same shared JSON value (structural sharing across snapshots).
   std::vector<TableComponent> component_snapshots() const;
-  /// Current change stamp of a table; 0 if the table does not exist.
+  /// Current change stamp of a table (see util::next_epoch); 0 if the
+  /// table does not exist.
   std::uint64_t table_epoch(const std::string& name) const;
   /// Replaces (or creates) one table from a per-table snapshot. A nonzero
   /// `epoch` reinstates the stamp the content carried when it was captured
-  /// from *this* database; 0 means foreign content and stamps fresh.
+  /// (stamps are process-wide, so from any database); 0 means content of
+  /// unknown provenance and stamps fresh.
   void restore_table(const json::Value& table_snap, std::uint64_t epoch);
   /// Drops a table without going through SQL; returns whether it existed.
   bool erase_table(const std::string& name);
   /// Forgets pending mutations (a restore resets the delta baseline).
   void clear_mutation_log();
+  /// Makes this database equal to `source`: drops the tables `source`
+  /// lacks and copies only the tables whose stamp differs, keeping the
+  /// source's stamp. Clears the mutation log. Costs one stamp compare per
+  /// table plus a copy of each table that differs.
+  void sync_from(const Database& source);
 
   /// Approximate state size in bytes (serialized snapshot size); used for
   /// the cross-ISA S_app comparison in Figure 10(a).
@@ -98,10 +107,19 @@ class Database {
   /// Committed row mutations since the last drain. Mutations made inside a
   /// rolled-back transaction never appear.
   std::vector<RowMutation> drain_mutations();
-  const std::vector<RowMutation>& pending_mutations() const { return mutation_log_; }
 
   /// Applies a replicated mutation (CRDT delivery path) without re-logging.
   void apply_replicated(const RowMutation& mutation);
+
+  /// Row writes of the CRDT materialization path. Like SQL writes they
+  /// stamp the table they change; unlike them they never enter the
+  /// mutation log, so a replicated row is not re-broadcast as a local edit.
+  /// Each throws SqlError for an unknown table.
+  std::uint64_t insert_row(const std::string& table, std::vector<SqlValue> cells);  ///< new rid
+  /// Overwrites row `rid`'s cells; false (and no change) if it is absent.
+  bool update_row(const std::string& table, std::uint64_t rid, std::vector<SqlValue> cells);
+  /// Deletes row `rid`; returns whether it existed.
+  bool delete_row(const std::string& table, std::uint64_t rid);
 
   bool operator==(const Database& other) const;
 
@@ -115,11 +133,12 @@ class Database {
   std::vector<RowMutation> mutation_log_;
   std::optional<std::map<std::string, Table>> transaction_backup_;
   std::size_t transaction_log_mark_ = 0;
-  std::uint64_t epoch_counter_ = 0;  ///< monotonic; epoch equality => content equality
   mutable std::map<std::string, CachedTable> snapshot_cache_;
 
-  /// Stamps a table with a fresh epoch after a committed content change.
-  void touch(Table& table) { table.set_epoch(++epoch_counter_); }
+  /// Stamps a table with a fresh process-wide epoch after a content change.
+  static void touch(Table& table) { table.set_epoch(util::next_epoch()); }
+  /// The table to write; throws SqlError if absent. Callers touch() it.
+  Table& writable_table(const std::string& name);
 
   static SqlValue resolve(const SqlExpr& expr, const std::vector<SqlValue>& params);
   std::function<bool(const Row&)> compile_where(const Table& table,

@@ -54,12 +54,11 @@ class Table {
   json::Value snapshot() const;
   static Table from_snapshot(const json::Value& snap);
 
-  /// Change stamp maintained by the owning Database: every committed
-  /// content change re-stamps the table from the database's monotonic
-  /// counter, so epoch equality implies content equality for tables that
-  /// share a Database lineage. 0 = never stamped. Direct Table mutation
-  /// outside Database does not update it — the copy-on-write snapshot
-  /// machinery only reads epochs on Database-owned tables.
+  /// Change stamp maintained by the owning Database: every content change
+  /// re-stamps the table from the process-wide counter (util::next_epoch),
+  /// so equal nonzero epochs imply equal content, across databases too.
+  /// 0 = never stamped. A copy keeps the stamp. Database hands out no
+  /// writable Table, so no write escapes the stamp.
   std::uint64_t epoch() const { return epoch_; }
   void set_epoch(std::uint64_t epoch) { epoch_ = epoch; }
 

@@ -1,7 +1,6 @@
 #include "trace/state_capture.h"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <utility>
 
@@ -86,10 +85,9 @@ Snapshot Snapshot::from_units(json::Value database, json::Value files, json::Val
 }
 
 StateDiff diff_snapshots(const Snapshot& before, const Snapshot& after) {
-  const bool same_origin = before.origin != 0 && before.origin == after.origin;
   StateDiff diff;
-  const auto diff_unit = [same_origin](const ComponentMap& b, const ComponentMap& a,
-                                       std::set<std::string>& changed, bool contents_only) {
+  const auto diff_unit = [](const ComponentMap& b, const ComponentMap& a,
+                            std::set<std::string>& changed, bool contents_only) {
     for (const auto& [key, comp] : a) {
       const auto it = b.find(key);
       if (it == b.end()) {
@@ -97,8 +95,8 @@ StateDiff diff_snapshots(const Snapshot& before, const Snapshot& after) {
         continue;
       }
       const SnapshotComponent& prev = it->second;
-      if (prev.value == comp.value) continue;                 // shared => identical
-      if (same_origin && prev.stamp == comp.stamp) continue;  // stamp equality => unchanged
+      if (prev.value == comp.value) continue;                    // shared => identical
+      if (prev.stamp != 0 && prev.stamp == comp.stamp) continue;  // stamp equality => unchanged
       const bool equal = contents_only
                              ? (*prev.value)["contents"] == (*comp.value)["contents"]
                              : *prev.value == *comp.value;
@@ -144,8 +142,6 @@ void restore_globals(minijs::Interpreter& interp, const json::Value& globals) {
 ProfilingHarness::ProfilingHarness(const std::string& server_source,
                                    minijs::InterpreterConfig config, HarnessOptions options)
     : options_(options) {
-  static std::atomic<std::uint64_t> next_origin{0};
-  origin_id_ = ++next_origin;
   minijs::Program program = minijs::parse_program(server_source);
   interp_ = std::make_unique<minijs::Interpreter>(std::move(program), config);
   interp_->bind_database(&db_);
@@ -201,7 +197,6 @@ Snapshot ProfilingHarness::capture_now() {
     return Snapshot::from_units(db_.snapshot(), fs_.snapshot(), capture_globals(*interp_));
   }
   Snapshot snap;
-  snap.origin = origin_id_;
   for (auto& c : db_.component_snapshots()) {
     snap.tables.emplace(std::move(c.name), SnapshotComponent{std::move(c.value), c.epoch});
   }
@@ -213,8 +208,8 @@ Snapshot ProfilingHarness::capture_now() {
 }
 
 void ProfilingHarness::restore_now(const Snapshot& snapshot) {
-  if (!options_.cow || snapshot.origin != origin_id_) {
-    // Foreign snapshot (or CoW disabled): full rebuild of every unit.
+  if (!options_.cow) {
+    // CoW disabled: full rebuild of every unit.
     db_.restore(snapshot.database_json());
     fs_.restore(snapshot.files_json());
     restore_globals(*interp_, snapshot.globals_json());
@@ -222,12 +217,14 @@ void ProfilingHarness::restore_now(const Snapshot& snapshot) {
     return;
   }
 
-  // Tables: drop extras, rewrite only tables whose epoch moved.
+  // Tables: drop extras, rewrite only tables whose epoch differs. Stamp 0
+  // (content of unknown provenance) always rewrites; the guard also keeps
+  // it from matching table_epoch()'s 0 for a missing table.
   for (const std::string& name : db_.table_names()) {
     if (!snapshot.tables.count(name)) db_.erase_table(name);
   }
   for (const auto& [name, comp] : snapshot.tables) {
-    if (db_.table_epoch(name) == comp.stamp) continue;
+    if (comp.stamp != 0 && db_.table_epoch(name) == comp.stamp) continue;
     db_.restore_table(*comp.value, comp.stamp);
   }
   db_.clear_mutation_log();
@@ -237,7 +234,7 @@ void ProfilingHarness::restore_now(const Snapshot& snapshot) {
     if (!snapshot.files.count(path)) fs_.erase_file(path);
   }
   for (const auto& [path, comp] : snapshot.files) {
-    if (fs_.entry_epoch(path) == comp.stamp) continue;
+    if (comp.stamp != 0 && fs_.entry_epoch(path) == comp.stamp) continue;
     fs_.restore_file(path, *comp.value, comp.stamp);
   }
 
@@ -249,14 +246,16 @@ void ProfilingHarness::restore_now(const Snapshot& snapshot) {
   }
   for (const auto& [name, comp] : snapshot.globals) {
     const auto it = current.find(name);
-    if (it != current.end() && it->second.stamp == comp.stamp) continue;
+    if (comp.stamp != 0 && it != current.end() && it->second.stamp == comp.stamp) continue;
     env.define(name, minijs::JsValue::from_json(*comp.value));
   }
   // The environment now matches the snapshot exactly; adopt its components
-  // as the cache so the next capture is stamp-only.
+  // as the cache so the next capture is stamp-only. Stamp-0 globals carry
+  // no digest, so their presence makes the next capture digest afresh.
   global_cache_ = snapshot.globals;
   cache_steps_ = interp_->steps();
-  cache_valid_ = true;
+  cache_valid_ = std::all_of(snapshot.globals.begin(), snapshot.globals.end(),
+                             [](const auto& entry) { return entry.second.stamp != 0; });
 }
 
 http::HttpResponse ProfilingHarness::invoke(const http::Route& route,

@@ -11,13 +11,15 @@
 //
 // Snapshots are copy-on-write: each unit is a map of per-component
 // immutable JSON values shared between consecutive snapshots (a component
-// is one table, one file, or one global). Tables and files carry epoch
-// stamps maintained by their substrate (sqldb::Database / vfs::Vfs);
-// globals carry content digests, because JsValue aliasing makes
-// write-tracking unsound for them. Capture serializes only components
-// whose stamp moved, restore writes only components whose stamp differs,
-// and diff_snapshots compares stamps before content — all O(state touched)
-// instead of O(total state). A capture never sizes a component, and copies
+// is one table, one file, or one global). Tables and files carry the
+// process-wide epoch stamps of their substrate (sqldb::Database /
+// vfs::Vfs, drawn from util::next_epoch); globals carry content digests,
+// because JsValue aliasing makes write-tracking unsound for them. Either
+// way equal nonzero stamps mean equal content, whichever harness captured
+// them; stamp 0 (from_json / from_units) always compares and restores by
+// content. Capture serializes only components whose stamp moved, restore
+// writes only components whose stamp differs, and diff_snapshots compares
+// stamps before content — all O(state touched) instead of O(total state). A capture never sizes a component, and copies
 // each changed body at most once; Snapshot::size_bytes() sizes on demand.
 #pragma once
 
@@ -46,11 +48,6 @@ struct Snapshot {
   ComponentMap tables;   ///< table name -> per-table snapshot
   ComponentMap files;    ///< path -> {"contents", "version"}
   ComponentMap globals;  ///< global name -> JSON value
-  /// Identity of the harness that captured this snapshot. Stamps are only
-  /// comparable between snapshots of the same nonzero origin; 0 marks
-  /// foreign snapshots (from_json / hand-built), which always compare and
-  /// restore by content.
-  std::uint64_t origin = 0;
 
   /// Serialized size — the paper's S_app baseline for cross-ISA comparison.
   /// Sized on demand (captures never size): equals to_json().wire_size(),
@@ -65,8 +62,8 @@ struct Snapshot {
 
   json::Value to_json() const;
   static Snapshot from_json(const json::Value& v);
-  /// Splits aggregate unit JSON into a (foreign-origin) snapshot, moving
-  /// each table, file and global into its component.
+  /// Splits aggregate unit JSON into a snapshot of stamp-0 components,
+  /// moving each table, file and global into its component.
   static Snapshot from_units(json::Value database, json::Value files, json::Value globals);
 };
 
@@ -84,10 +81,10 @@ struct StateDiff {
   }
 };
 
-/// Computes which units differ between two snapshots. Same-origin
-/// components short-circuit on stamp equality; everything else falls back
-/// to content comparison (files compare contents only — a same-content
-/// rewrite is not a change).
+/// Computes which units differ between two snapshots. Components short-
+/// circuit on equal nonzero stamps; everything else falls back to content
+/// comparison (files compare contents only — a same-content rewrite is not
+/// a change).
 StateDiff diff_snapshots(const Snapshot& before, const Snapshot& after);
 
 /// Extracts the user-global variables of an interpreter as a JSON object
@@ -166,7 +163,6 @@ class ProfilingHarness {
   std::unique_ptr<minijs::Interpreter> interp_;
   Snapshot init_snapshot_;
   HarnessOptions options_;
-  std::uint64_t origin_id_ = 0;
   obs::Telemetry* telemetry_ = nullptr;
 
   ComponentMap global_cache_;      ///< last-known digests + serialized values

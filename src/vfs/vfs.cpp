@@ -4,6 +4,7 @@
 #include <memory>
 #include <stdexcept>
 
+#include "util/epoch.h"
 #include "util/strings.h"
 
 namespace edgstr::vfs {
@@ -55,7 +56,7 @@ void Vfs::write(const std::string& path, util::TextPtr contents) {
   FileEntry& entry = files_[path];
   entry.contents = std::move(contents);
   ++entry.version;
-  entry.epoch = ++epoch_counter_;
+  entry.epoch = util::next_epoch();
   track(FileAccess::Kind::kWrite, path);
 }
 
@@ -63,7 +64,7 @@ void Vfs::append(const std::string& path, std::string_view data) {
   FileEntry& entry = files_[path];
   util::append_text(&entry.contents, data);
   ++entry.version;
-  entry.epoch = ++epoch_counter_;
+  entry.epoch = util::next_epoch();
   track(FileAccess::Kind::kAppend, path);
 }
 
@@ -121,7 +122,7 @@ void Vfs::restore(const json::Value& snap) {
   for (const auto& [path, entry] : snap.as_object()) {
     files_[path] = FileEntry{util::make_text(entry["contents"].as_string()),
                              static_cast<std::uint64_t>(entry["version"].as_number()),
-                             ++epoch_counter_};  // foreign content: stamp fresh
+                             util::next_epoch()};  // foreign content: stamp fresh
   }
 }
 
@@ -150,7 +151,7 @@ std::uint64_t Vfs::entry_epoch(const std::string& path) const {
 void Vfs::restore_file(const std::string& path, const json::Value& entry, std::uint64_t epoch) {
   files_[path] = FileEntry{util::make_text(entry["contents"].as_string()),
                            static_cast<std::uint64_t>(entry["version"].as_number()),
-                           epoch != 0 ? epoch : ++epoch_counter_};
+                           epoch != 0 ? epoch : util::next_epoch()};
 }
 
 bool Vfs::erase_file(const std::string& path) { return files_.erase(path) > 0; }
@@ -158,10 +159,18 @@ bool Vfs::erase_file(const std::string& path) { return files_.erase(path) > 0; }
 void Vfs::copy_from(const Vfs& source, const std::set<std::string>& paths) {
   for (const std::string& path : paths) {
     auto it = source.files_.find(path);
-    if (it == source.files_.end()) continue;
-    // Entries come from a different Vfs lineage: re-stamp from our counter
-    // so foreign epochs never alias local ones. The body is shared.
-    files_[path] = FileEntry{it->second.contents, it->second.version, ++epoch_counter_};
+    if (it != source.files_.end()) files_[path] = it->second;  // shares the body
+  }
+}
+
+void Vfs::sync_from(const Vfs& source) {
+  for (auto it = files_.begin(); it != files_.end();) {
+    it = source.files_.count(it->first) ? std::next(it) : files_.erase(it);
+  }
+  for (const auto& [path, entry] : source.files_) {
+    FileEntry& mine = files_[path];
+    // Equal nonzero stamps mean equal content (util::next_epoch).
+    if (entry.epoch == 0 || mine.epoch != entry.epoch) mine = entry;
   }
 }
 

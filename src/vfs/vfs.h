@@ -23,11 +23,12 @@
 namespace edgstr::vfs {
 
 /// One file: contents plus a version counter bumped on every write.
-/// `epoch` is the VFS-wide change stamp assigned at the last mutation:
-/// epoch equality implies content equality for entries sharing a Vfs
-/// lineage (the copy-on-write snapshot invariant). The contents are a
-/// shared immutable body (util::Text): reads hand it out by reference, and
-/// a write or append never changes bytes another holder can see.
+/// `epoch` is the process-wide change stamp (util::next_epoch) assigned at
+/// the last mutation: equal nonzero epochs imply equal content, across
+/// file systems too (the copy-on-write snapshot invariant). A copied entry
+/// keeps its stamp. The contents are a shared immutable body (util::Text):
+/// reads hand it out by reference, and a write or append never changes
+/// bytes another holder can see.
 struct FileEntry {
   util::TextPtr contents;
   std::uint64_t version = 0;
@@ -74,7 +75,6 @@ class Vfs {
   bool remove(const std::string& path);
 
   std::vector<std::string> list() const;
-  std::size_t file_count() const { return files_.size(); }
   std::uint64_t version(const std::string& path) const;
   /// FNV-1a content fingerprint (the body's cached hash); 0 for a missing
   /// file.
@@ -100,7 +100,8 @@ class Vfs {
   std::uint64_t entry_epoch(const std::string& path) const;
   /// Replaces (or creates) one file from a per-file snapshot entry. A
   /// nonzero `epoch` reinstates the stamp the content carried when it was
-  /// captured from *this* VFS; 0 means foreign content and stamps fresh.
+  /// captured (from any VFS); 0 means content of unknown provenance and
+  /// stamps fresh.
   void restore_file(const std::string& path, const json::Value& entry, std::uint64_t epoch);
   /// Removes a file without recording a tracked access (restore path).
   bool erase_file(const std::string& path);
@@ -108,6 +109,10 @@ class Vfs {
   /// Copies a subset of paths from another VFS (replica initialization —
   /// the paper's "duplicates the identified files by copying").
   void copy_from(const Vfs& source, const std::set<std::string>& paths);
+  /// Makes this VFS's files equal to `source`'s: drops the files `source`
+  /// lacks and copies only the entries whose stamp differs (the body is
+  /// shared, the stamp kept). Access tracking is untouched.
+  void sync_from(const Vfs& source);
 
   bool operator==(const Vfs& other) const;
 
@@ -120,7 +125,6 @@ class Vfs {
   std::map<std::string, FileEntry> files_;
   bool tracking_ = false;
   std::vector<FileAccess> accesses_;
-  std::uint64_t epoch_counter_ = 0;  ///< monotonic; epoch equality => content equality
   mutable std::map<std::string, CachedFile> snapshot_cache_;
 
   void track(FileAccess::Kind kind, const std::string& path);

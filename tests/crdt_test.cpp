@@ -287,6 +287,24 @@ TEST_F(CrdtTableFixture, DeletePropagates) {
   EXPECT_EQ(a.state_digest(), c.state_digest());
 }
 
+TEST_F(CrdtTableFixture, ReplicatedWritesMoveTheTableEpoch) {
+  sqldb::Database da, dc;
+  CrdtTable a("edge", &da), c("cloud", &dc);
+  a.initialize(snapshot);
+  c.initialize(snapshot);
+  // Equal stamps must mean equal content on the receiving replica too, so
+  // every materialized insert, update and delete re-stamps the table.
+  for (const char* sql : {"INSERT INTO t (k, v) VALUES ('new', 1)",
+                          "UPDATE t SET v = 2 WHERE k = 'new'", "DELETE FROM t WHERE k = 'new'"}) {
+    da.execute(sql);
+    a.record_local_mutations();
+    const std::uint64_t before = dc.table_epoch("t");
+    EXPECT_EQ(c.applyChanges(a.getChanges(c.version())), 1u) << sql;
+    EXPECT_NE(dc.table_epoch("t"), before) << sql;
+    EXPECT_TRUE(dc == da) << sql;
+  }
+}
+
 TEST_F(CrdtTableFixture, AttachExistingKeysLiveState) {
   sqldb::Database dc;
   dc.restore(snapshot);

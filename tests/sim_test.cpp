@@ -301,7 +301,7 @@ TEST(SimWorkloadTest, ChurnExercisesTheMigrationInvariant) {
 }
 
 TEST(SimVariantTest, ShadowsAreScheduleInvisible) {
-  // The variant shadows replay off-network from CoW pre-state; turning
+  // The variant shadows replay off-network from synced state; turning
   // the cross-check off must not move a single byte of the schedule.
   for (const std::uint64_t seed : {7ull, 24ull}) {
     ScheduleConfig on, off;

@@ -194,6 +194,55 @@ TEST_F(DatabaseFixture, MutationLogCapturesKindsAndCells) {
   EXPECT_EQ(muts[0].rid, muts[2].rid);
 }
 
+TEST(DatabaseStampTest, StampsNeverCollideAcrossDatabases) {
+  Database a, b;
+  a.execute("CREATE TABLE t (k)");
+  b.execute("CREATE TABLE t (k)");
+  EXPECT_NE(a.table_epoch("t"), b.table_epoch("t"));  // same content history, new stamps
+  a.execute("INSERT INTO t (k) VALUES (1)");
+
+  Database copy;
+  copy.execute("CREATE TABLE stale (k)");
+  copy.execute("INSERT INTO stale (k) VALUES (9)");
+  copy.sync_from(a);
+  EXPECT_TRUE(copy == a);
+  EXPECT_FALSE(copy.has_table("stale"));
+  EXPECT_EQ(copy.table_epoch("t"), a.table_epoch("t"));  // a copied table keeps its stamp
+  EXPECT_TRUE(copy.drain_mutations().empty());
+
+  // The next touch in the copy gets a stamp no database has used.
+  copy.execute("INSERT INTO t (k) VALUES (2)");
+  const std::uint64_t touched = copy.table_epoch("t");
+  EXPECT_NE(touched, a.table_epoch("t"));
+  EXPECT_NE(touched, b.table_epoch("t"));
+  a.execute("INSERT INTO t (k) VALUES (3)");
+  EXPECT_NE(a.table_epoch("t"), touched);
+
+  // Stamps differ, so a resync copies the table again.
+  copy.sync_from(a);
+  EXPECT_TRUE(copy == a);
+  EXPECT_EQ(copy.execute("SELECT k FROM t").rows.size(), 2u);
+}
+
+TEST_F(DatabaseFixture, ReplicatedRowWritesStampButDoNotLog) {
+  const std::uint64_t start = db.table_epoch("users");
+  const std::uint64_t rid = db.insert_row("users", {SqlValue(4), SqlValue("dee"), SqlValue(40)});
+  const std::uint64_t inserted = db.table_epoch("users");
+  EXPECT_NE(inserted, start);
+  EXPECT_TRUE(db.update_row("users", rid, {SqlValue(4), SqlValue("dee"), SqlValue(41)}));
+  const std::uint64_t updated = db.table_epoch("users");
+  EXPECT_NE(updated, inserted);
+  EXPECT_TRUE(db.delete_row("users", rid));
+  EXPECT_NE(db.table_epoch("users"), updated);
+
+  // A missed row changes nothing, so it keeps the stamp.
+  const std::uint64_t settled = db.table_epoch("users");
+  EXPECT_FALSE(db.update_row("users", rid, {SqlValue(4), SqlValue("x"), SqlValue(1)}));
+  EXPECT_FALSE(db.delete_row("users", rid));
+  EXPECT_EQ(db.table_epoch("users"), settled);
+  EXPECT_TRUE(db.drain_mutations().empty());
+}
+
 TEST_F(DatabaseFixture, ApplyReplicatedIsIdempotent) {
   RowMutation m{RowMutation::Kind::kInsert, "users", 77, {SqlValue(9), SqlValue("zed"), SqlValue(1)}};
   db.apply_replicated(m);

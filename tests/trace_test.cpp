@@ -239,6 +239,29 @@ TEST(StateCaptureTest, DiffDetectsEachUnit) {
   EXPECT_EQ(result.state_diff.total(), 4u);
 }
 
+TEST(StateCaptureTest, SnapshotsRestoreAcrossHarnessesByStampOrContent) {
+  const http::Route route{http::Verb::kPost, "/work"};
+  ProfilingHarness a(kStatefulServer), b(kStatefulServer);
+  a.invoke(route, work_request(4));
+  const Snapshot moved = a.capture();
+
+  // Stamps are process-wide, so another harness restores a's snapshot by
+  // stamp: the copied table keeps a's stamp, and nothing reads as changed.
+  b.restore(moved);
+  EXPECT_EQ(b.database().table_epoch("log"), a.database().table_epoch("log"));
+  EXPECT_EQ(b.capture().to_json(), moved.to_json());
+  EXPECT_TRUE(diff_snapshots(moved, b.capture()).empty());
+
+  // Stamp 0 (a snapshot read back from JSON) restores by content, even over
+  // state whose stamps are all different.
+  b.invoke(route, work_request(9));
+  const Snapshot foreign = Snapshot::from_json(moved.to_json());
+  b.restore(foreign);
+  EXPECT_EQ(b.capture().to_json(), moved.to_json());
+  EXPECT_TRUE(diff_snapshots(foreign, b.capture()).empty());
+  EXPECT_TRUE(diff_snapshots(moved, b.capture()).empty());
+}
+
 TEST(StateCaptureTest, ReadOnlyServiceHasEmptyDiff) {
   ProfilingHarness harness(kStatefulServer);
   http::HttpRequest req;

@@ -13,6 +13,7 @@
 #include "edgstr/deployment.h"
 #include "edgstr/pipeline.h"
 #include "apps/app.h"
+#include "runtime/replica_state.h"
 #include "runtime/service_runtime.h"
 #include "runtime/variant_harness.h"
 
@@ -88,7 +89,7 @@ TEST(VariantHarnessTest, FailedRequestsStillAgree) {
 TEST(VariantHarnessTest, PlantedSemanticFaultIsFlaggedWithRequestAndDelta) {
   ServiceRuntime primary(kService);
   // The fault skews every reading to 999999 on the legacy shadow after
-  // each pre-state restore — any /summary over non-empty data must
+  // each sync from the primary — any /summary over non-empty data must
   // diverge in both the response and the RW-log.
   auto harness = make_harness([](ServiceRuntime& rt) {
     rt.database().execute("UPDATE readings SET value = 999999");
@@ -121,6 +122,110 @@ TEST(VariantHarnessTest, DetachedHarnessCostsNothing) {
   ServiceRuntime primary(kService);
   EXPECT_EQ(primary.variant_harness(), nullptr);
   EXPECT_FALSE(primary.handle(ingest("s0", 1.0)).failed);
+}
+
+// A service with all three replication units: a table, a file, a global.
+constexpr const char* kUnitsService = R"JS(
+db.query("CREATE TABLE readings (sensor, value)");
+fs.writeFile("data/last.txt", "none");
+var tally = 0;
+app.post("/ingest", function (req, res) {
+  db.query("INSERT INTO readings (sensor, value) VALUES (?, ?)",
+           [req.params.sensor, req.params.value]);
+  tally = tally + 1;
+  fs.writeFile("data/last.txt", req.params.sensor);
+  res.send({ ok: 1 });
+});
+app.get("/state", function (req, res) {
+  var rows = db.query("SELECT sensor, value FROM readings");
+  res.send({ count: rows.length, tally: tally, last: fs.readFile("data/last.txt") });
+});
+)JS";
+
+http::HttpRequest state() {
+  http::HttpRequest req;
+  req.path = "/state";
+  return req;
+}
+
+/// fast, legacy and vm shadows, each running `probe` after every sync.
+std::unique_ptr<VariantHarness> make_probed_harness(const std::string& source,
+                                                    std::function<void(ServiceRuntime&)> probe) {
+  std::vector<VariantSpec> specs(3);
+  specs[0].name = "fast";
+  specs[0].config.resolve = true;
+  specs[1].name = "legacy";
+  specs[1].config.resolve = false;
+  specs[2].name = "vm";
+  specs[2].config.vm = true;
+  for (VariantSpec& spec : specs) spec.test_fault = probe;
+  return std::make_unique<VariantHarness>(source, std::move(specs));
+}
+
+/// Whether `shadow` holds exactly `primary`'s state, table stamps included.
+bool same_state(ServiceRuntime& shadow, ServiceRuntime& primary) {
+  for (const std::string& name : primary.database().table_names()) {
+    if (shadow.database().table_epoch(name) != primary.database().table_epoch(name)) return false;
+  }
+  return shadow.database() == primary.database() &&
+         shadow.filesystem() == primary.filesystem() &&
+         trace::capture_globals(shadow.interpreter()) ==
+             trace::capture_globals(primary.interpreter());
+}
+
+TEST(VariantHarnessTest, ReplicaChangedByACrdtMergeIsSeenOnTheNextRead) {
+  ServiceRuntime primary(kUnitsService), peer(kUnitsService);
+  std::size_t probes = 0, synced = 0;
+  auto harness = make_probed_harness(kUnitsService, [&](ServiceRuntime& shadow) {
+    ++probes;
+    synced += same_state(shadow, primary);
+  });
+  primary.set_variant_harness(harness.get());
+  ReplicaState p("p", &primary, {"data/last.txt"}, {"*"});
+  ReplicaState q("q", &peer, {"data/last.txt"}, {"*"});
+  p.attach_existing();
+  q.initialize_from_snapshot(primary.capture_state());
+
+  // A first check leaves every shadow at the primary's stamps.
+  EXPECT_FALSE(primary.handle(state()).failed);
+
+  // A row, a file and a replicated global reach the primary by merge only.
+  EXPECT_FALSE(peer.handle(ingest("s7", 5)).failed);
+  q.record_local();
+  EXPECT_GT(p.apply_message(q.collect_changes(p.versions())), 0u);
+
+  const ExecutionResult read = primary.handle(state());
+  EXPECT_EQ(read.response.body,
+            json::Value::object({{"count", 1}, {"tally", 1}, {"last", "s7"}}));
+  EXPECT_TRUE(harness->divergences().empty())
+      << harness->divergences().front().kind << ": " << harness->divergences().front().detail;
+  EXPECT_EQ(probes, 6u);
+  EXPECT_EQ(synced, probes);  // every shadow replayed from the primary's live state
+}
+
+TEST(VariantHarnessTest, ShadowReplayWritesAreUndoneBeforeTheNextCheck) {
+  ServiceRuntime primary(kUnitsService);
+  std::size_t probes = 0, synced = 0;
+  auto harness = make_probed_harness(kUnitsService, [&](ServiceRuntime& shadow) {
+    if (probes++ == 0) {
+      // The first shadow's replay of the write also leaves a row of its own.
+      shadow.database().execute("INSERT INTO readings (sensor, value) VALUES ('ghost', 1)");
+      return;
+    }
+    synced += same_state(shadow, primary);
+  });
+  primary.set_variant_harness(harness.get());
+
+  EXPECT_FALSE(primary.handle(ingest("s0", 21.0)).failed);
+  const std::size_t after_write = harness->divergences().size();
+  // Every shadow replayed the write (one with a ghost row); the read must
+  // still find each one back at the primary's state.
+  const ExecutionResult read = primary.handle(state());
+  EXPECT_EQ(read.response.body,
+            json::Value::object({{"count", 1}, {"tally", 1}, {"last", "s0"}}));
+  EXPECT_EQ(harness->divergences().size(), after_write);
+  EXPECT_EQ(probes, 6u);
+  EXPECT_EQ(synced, 5u);
 }
 
 // ------------------------------------------------------------ deployment --

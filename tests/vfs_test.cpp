@@ -132,6 +132,29 @@ TEST(VfsTest, CopyFromSubset) {
   EXPECT_FALSE(dst.exists("skip"));
 }
 
+TEST(VfsTest, SyncFromCopiesChangedEntriesAndKeepsTheirStamps) {
+  Vfs src;
+  src.write("models/m.bin", std::string(1 << 16, 'w'));
+  src.write("data/log.txt", "entry1");
+  Vfs dst;
+  dst.write("extra", "gone after sync");
+  dst.sync_from(src);
+  EXPECT_TRUE(dst == src);
+  EXPECT_FALSE(dst.exists("extra"));
+  for (const std::string& path : src.list()) {
+    EXPECT_EQ(dst.entry_epoch(path), src.entry_epoch(path)) << path;
+    EXPECT_EQ(dst.read_text(path), src.read_text(path)) << path;  // the body is shared
+  }
+
+  dst.append("data/log.txt", "+shadow");  // a local write gets a fresh stamp...
+  EXPECT_NE(dst.entry_epoch("data/log.txt"), src.entry_epoch("data/log.txt"));
+  src.write("models/m.bin", "retrained");
+  dst.sync_from(src);  // ...so the next sync undoes it
+  EXPECT_TRUE(dst == src);
+  EXPECT_EQ(dst.read("data/log.txt"), "entry1");
+  EXPECT_EQ(dst.read("models/m.bin"), "retrained");
+}
+
 TEST(VfsTest, PathClassifier) {
   EXPECT_TRUE(Vfs::looks_like_path("models/det.bin"));
   EXPECT_TRUE(Vfs::looks_like_path("data/notes.log"));

@@ -15,7 +15,8 @@
 //       flight-recorder dump (recent per-host events) whether or not the
 //       run failed.
 //   sim_explore --sweep N [--start S] [--rounds R] [--workload W]
-//               [--no-variant-check] [--handoff-fault] [--slo]
+//               [--no-variant-check] [--variant-fault] [--handoff-fault] [--slo]
+//               [--durable] [--power-loss] [--durability-fault]
 //       Runs N consecutive seeds starting at S (default 1) and prints a
 //       report per failure. Exits nonzero when any seed fails, with the
 //       failing seeds listed last so CI logs surface them. The sweep
@@ -66,7 +67,7 @@ int usage() {
             << "                   [--trace-out FILE] [--metrics-out FILE]\n"
             << "                   [--timeseries-out FILE] [--flight-out FILE]\n"
             << "       sim_explore --sweep N [--start S] [--rounds R] [--workload W]\n"
-            << "                   [--no-variant-check] [--handoff-fault] [--slo]\n"
+            << "                   [--no-variant-check] [--variant-fault] [--handoff-fault] [--slo]\n"
             << "                   [--durable] [--power-loss] [--durability-fault]\n"
             << "       W: uniform | zipf | flash | churn\n";
   return 2;

@@ -29,7 +29,6 @@ class AutoScaler {
 
   /// Currently-desired number of active replicas.
   int target_active() const { return target_active_; }
-  double smoothed_connections() const { return smoothed_; }
   int scale_up_events() const { return scale_ups_; }
   int scale_down_events() const { return scale_downs_; }
 

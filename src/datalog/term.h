@@ -32,7 +32,6 @@ class Value {
   Value(const char* s) : data_(util::intern(s)) {}
 
   bool is_int() const { return std::holds_alternative<std::int64_t>(data_); }
-  bool is_symbol() const { return std::holds_alternative<util::Symbol>(data_); }
   std::int64_t as_int() const { return std::get<std::int64_t>(data_); }
   const std::string& as_symbol() const {
     return util::symbol_name(std::get<util::Symbol>(data_));

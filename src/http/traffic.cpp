@@ -22,7 +22,6 @@ std::vector<ServiceProfile> TrafficRecorder::infer_services() const {
     profile.exemplar_params.push_back(rec.request.params);
     profile.exemplar_results.push_back(rec.response.body);
     profile.request_bytes_total += rec.request.wire_size();
-    profile.response_bytes_total += rec.response.wire_size();
     ++profile.invocation_count;
   }
 

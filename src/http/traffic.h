@@ -29,14 +29,10 @@ struct ServiceProfile {
   std::vector<json::Value> exemplar_params;    ///< observed p_i values
   std::vector<json::Value> exemplar_results;   ///< observed r_i values
   std::uint64_t request_bytes_total = 0;
-  std::uint64_t response_bytes_total = 0;
   std::size_t invocation_count = 0;
 
   double mean_request_bytes() const {
     return invocation_count ? static_cast<double>(request_bytes_total) / invocation_count : 0;
-  }
-  double mean_response_bytes() const {
-    return invocation_count ? static_cast<double>(response_bytes_total) / invocation_count : 0;
   }
 };
 

@@ -19,7 +19,7 @@ Interpreter::Interpreter(Program program, Config config)
   // Annotate (or scrub) the AST in place: either way every name is
   // interned, so the evaluator can rely on symbol ids being present.
   if (config_.resolve) {
-    resolve_stats_ = resolve_program(program_);
+    resolve_program(program_);
   } else {
     strip_resolution(program_);
   }

@@ -127,9 +127,6 @@ class Interpreter {
   /// Program access for the analysis/refactoring stages.
   const Program& program() const { return program_; }
 
-  /// What the resolver did at construction (zeros when config.resolve=false).
-  const ResolveStats& resolve_stats() const { return resolve_stats_; }
-
   /// Simulated CPU work units accrued by `compute(u)` since last drain.
   double drain_compute_units() {
     const double units = compute_units_;
@@ -165,7 +162,6 @@ class Interpreter {
 
   /// Used by the `res.send` builtin.
   void set_pending_response(JsValue value, int status);
-  bool has_pending_response() const { return response_sent_; }
 
   /// Used by the `app.get/post/...` builtins during init.
   void register_route(http::Verb verb, const std::string& path, JsValue handler);
@@ -180,7 +176,6 @@ class Interpreter {
   EnvHeap heap_;
   Program program_;
   Config config_;
-  ResolveStats resolve_stats_;
   CompiledProgram compiled_;  ///< populated when config.vm is on
   std::unique_ptr<Vm> vm_;    ///< bytecode engine; null -> tree-walk only
   std::shared_ptr<Environment> builtins_;  ///< root scope: natives

@@ -31,28 +31,24 @@ void intern_expr_names(Expr& expr) {
 
 class Resolver {
  public:
-  ResolveStats run(Program& program) {
+  void run(Program& program) {
     // The toplevel executes in the named globals scope: no frame, every
     // toplevel name resolves through the global path.
     for (const StmtPtr& stmt : program.body) resolve_stmt(*stmt);
-    return stats_;
   }
 
  private:
-  ResolveStats stats_;
   std::vector<std::shared_ptr<ScopeInfo>> stack_;  ///< innermost last
 
   std::shared_ptr<ScopeInfo> begin_scope() {
     auto scope = std::make_shared<ScopeInfo>();
     stack_.push_back(scope);
-    ++stats_.scopes;
     return scope;
   }
 
   ScopeInfoPtr end_scope() {
     std::shared_ptr<ScopeInfo> scope = std::move(stack_.back());
     stack_.pop_back();
-    stats_.slots += static_cast<int>(scope->slots.size());
     return scope;
   }
 
@@ -90,13 +86,11 @@ class Resolver {
       if (slot >= 0) {
         expr.res_depth = depth;
         expr.res_slot = slot;
-        ++stats_.resolved;
         return;
       }
     }
     expr.res_depth = kDepthGlobal;
     expr.res_slot = -1;
-    ++stats_.globals;
   }
 
   /// A block that the interpreter runs in its own child frame (standalone
@@ -257,8 +251,8 @@ void strip_expr(const ExprPtr& expr) {
 
 }  // namespace
 
-ResolveStats resolve_program(Program& program) {
-  return Resolver().run(program);
+void resolve_program(Program& program) {
+  Resolver().run(program);
 }
 
 void strip_resolution(Program& program) {

@@ -18,16 +18,9 @@
 
 namespace edgstr::minijs {
 
-struct ResolveStats {
-  int scopes = 0;    ///< frame layouts created
-  int slots = 0;     ///< total slots across all layouts
-  int resolved = 0;  ///< identifiers addressed as (depth, slot)
-  int globals = 0;   ///< identifiers routed to the global/builtin path
-};
-
 /// Interns every name and annotates the program with scope layouts and
 /// lexical addresses. Idempotent; recomputes from scratch each call.
-ResolveStats resolve_program(Program& program);
+void resolve_program(Program& program);
 
 /// Interns every name but clears all resolution annotations, forcing the
 /// dynamic named path everywhere (the differential-testing baseline).

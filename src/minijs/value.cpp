@@ -255,73 +255,59 @@ JsValue JsValue::from_json(const json::Value& v) {
   return JsValue();
 }
 
-namespace {
-
-constexpr std::uint64_t kFnvPrime = 1099511628211ULL;
-
-inline std::uint64_t mix_byte(std::uint64_t h, unsigned char b) {
-  h ^= b;
-  return h * kFnvPrime;
-}
-
-inline std::uint64_t mix_word(std::uint64_t h, std::uint64_t w) {
-  for (int i = 0; i < 8; ++i) h = mix_byte(h, static_cast<unsigned char>(w >> (i * 8)));
-  return h;
-}
-
-}  // namespace
-
 std::uint64_t JsValue::digest() const {
-  // Structural FNV-1a-style hash. Type tags keep e.g. "1" and 1 apart;
-  // functions collapse to the null tag because to_json renders them as
-  // null and the digest must agree with the JSON view of a value.
-  std::uint64_t h = 1469598103934665603ULL;
+  // Structural hash: every tag, size and scalar is one util::hash_word
+  // step. Type tags keep e.g. "1" and 1 apart, and key lengths keep
+  // {"ab":"c"} and {"a":"bc"} apart; functions collapse to the null tag
+  // because to_json renders them as null and the digest must agree with
+  // the JSON view of a value.
+  using util::hash_word;
   struct Walker {
     static std::uint64_t walk(const JsValue& v, std::uint64_t h) {
       switch (v.type()) {
         case Type::kNull:
         case Type::kClosure:
         case Type::kNative:
-          return mix_byte(h, 1);
+          return hash_word(h, 1);
         case Type::kBool:
-          return mix_byte(mix_byte(h, 2), v.as_bool() ? 1 : 0);
+          return hash_word(hash_word(h, 2), v.as_bool() ? 1 : 0);
         case Type::kNumber: {
           std::uint64_t bits = 0;
           const double d = v.as_number();
           std::memcpy(&bits, &d, sizeof(bits));
-          return mix_word(mix_byte(h, 3), bits);
+          return hash_word(hash_word(h, 3), bits);
         }
         case Type::kString: {
           const util::Text& text = *v.as_text();
-          return mix_word(mix_word(mix_byte(h, 4), text.hash()), text.size());
+          return hash_word(hash_word(hash_word(h, 4), text.hash()), text.size());
         }
         case Type::kArray: {
-          h = mix_byte(h, 5);
+          h = hash_word(h, 5);
           const JsArray& arr = *v.as_array();
-          h = mix_word(h, arr.size());
+          h = hash_word(h, arr.size());
           for (const JsValue& item : arr) h = walk(item, h);
           return h;
         }
         case Type::kObject: {
-          h = mix_byte(h, 6);
+          h = hash_word(h, 6);
           const JsObject& obj = *v.as_object();
-          h = mix_word(h, obj.size());
+          h = hash_word(h, obj.size());
           for (const auto& [k, val] : obj.entries()) {
-            h = mix_word(mix_word(h, util::fnv1a(k)), k.size());
+            h = hash_word(hash_word(h, util::content_hash(k)), k.size());
             h = walk(val, h);
           }
           return h;
         }
         case Type::kBlob: {
           const Blob b = v.as_blob();
-          return mix_word(mix_word(mix_byte(h, 7), b.size), b.fingerprint);
+          return hash_word(hash_word(hash_word(h, 7), b.size), b.fingerprint);
         }
       }
       return h;
     }
     using Type = JsValue::Type;
   };
-  return Walker::walk(*this, h);
+  return Walker::walk(*this, util::kHashSeed);
 }
 
 // ---------------------------------------------------------- Environment --

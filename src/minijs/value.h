@@ -203,7 +203,7 @@ class JsValue {
   /// Structural content hash. Values whose to_json() texts are equal
   /// digest equally, except that NaN and ±Infinity (which render as null)
   /// keep their number bits. Functions hash as null and blobs by
-  /// size+fingerprint. A string mixes its body's cached FNV-1a and its
+  /// size+fingerprint. A string mixes its body's content hash and its
   /// size, so a string costs O(1) after its body's first hash, however
   /// long it is. The values are stable only within one process: the RW
   /// log, dependence analysis and the copy-on-write snapshot dirty check

@@ -156,7 +156,6 @@ class VmValue {
     std::memcpy(&d, &bits_, sizeof(d));
     return d;
   }
-  bool bool_bits() const { return bits_ == kTrueBits; }
   /// The boxed JsValue; only valid when is_box().
   const JsValue& boxed() const { return unbox()->value; }
 

@@ -58,9 +58,6 @@ class Tracer {
   explicit Tracer(const netsim::SimClock* clock = nullptr) : clock_(clock) {}
   void bind_clock(const netsim::SimClock* clock) { clock_ = clock; }
 
-  /// Mints a fresh trace id with no spans yet.
-  TraceContext new_trace() { return TraceContext{next_trace_++, 0}; }
-
   /// Opens a span starting now. With a valid `parent`, the span joins that
   /// trace as a child; otherwise it roots a brand-new trace.
   SpanId begin_span(std::string name, std::string category, std::string host,

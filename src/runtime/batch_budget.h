@@ -45,7 +45,6 @@ class BatchBudget {
   /// window. Returns the number of sends declared lost.
   std::size_t begin_round(double now);
 
-  double ewma_latency() const { return ewma_latency_; }
   std::uint64_t total_losses() const { return total_losses_; }
 
   /// Test hook: pins the ladder position to the largest rung <= `bytes`

@@ -47,7 +47,6 @@ class SyncLink {
   const std::string& endpoint_b() const { return b_; }
   /// The opposite end; throws if `endpoint` is on neither end.
   const std::string& other_end(const std::string& endpoint) const;
-  bool connects(const std::string& endpoint) const { return endpoint == a_ || endpoint == b_; }
 
   /// Round boundary for both direction budgets: expires lost sends and
   /// applies the AIMD step (see BatchBudget::begin_round). Inferred losses

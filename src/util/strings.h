@@ -29,7 +29,9 @@ std::string to_lower(std::string_view text);
 /// Replaces every occurrence of `from` with `to`.
 std::string replace_all(std::string_view text, std::string_view from, std::string_view to);
 
-/// 64-bit FNV-1a hash; used for content fingerprints in the VFS and CRDTs.
+/// 64-bit FNV-1a hash; used where a hash is pinned, persisted or visible to
+/// a program (CRDT state hashes, snapshot and sim digests, blobHash).
+/// In-process content hashes use util::content_hash (util/hash.h).
 /// Streamable: feeding a string's pieces through fnv1a_append, starting
 /// from kFnv1aBasis, gives fnv1a() of the whole string.
 inline constexpr std::uint64_t kFnv1aBasis = 0xcbf29ce484222325ULL;

@@ -2,9 +2,12 @@
 //
 // A file's contents, the MiniJS string a script read from it, and the RW
 // log's digest of that string are one body: the VFS hands out its body, a
-// JsValue holds it by reference, and digests mix its cached FNV-1a instead
-// of re-hashing its bytes. Copying a TextPtr is a refcount bump, so a
-// multi-megabyte model file is neither copied nor re-hashed per request.
+// JsValue holds it by reference, and digests mix its content hash
+// (util/hash.h) instead of re-hashing its bytes. The body caches that
+// hash's state over its whole 8-byte words, so hash() finishes from the
+// cache over at most 7 tail bytes, and an in-place append extends the
+// cache over the new words alone. Copying a TextPtr is a refcount bump, so
+// a multi-megabyte model file is neither copied nor re-hashed per request.
 #pragma once
 
 #include <atomic>
@@ -13,7 +16,7 @@
 #include <string>
 #include <string_view>
 
-#include "util/strings.h"
+#include "util/hash.h"
 
 namespace edgstr::util {
 
@@ -25,7 +28,7 @@ TextPtr make_text(std::string s);
 
 /// Appends `data` to `*body` (a null `*body` counts as empty). When
 /// `*body` is the only reference, the body grows in place (amortized
-/// O(data)) and its cached hash is extended; otherwise `*body` is replaced
+/// O(data)) and its cached hash state is extended; otherwise `*body` is replaced
 /// by a new body, so every other holder keeps the old contents
 /// (copy-on-write). A sole reference cannot gain a holder meanwhile: only
 /// the caller, through `*body`, could copy it.
@@ -46,17 +49,19 @@ class Text {
   const std::string& str() const { return str_; }
   std::size_t size() const { return str_.size(); }
 
-  /// fnv1a(str()), computed on first use and cached. 0 means "not yet
-  /// computed" (a body whose hash really is 0 recomputes it each time).
-  /// Relaxed atomics suffice: racing first computations store the same
-  /// value, and the bytes never change while another holder can see them.
+  /// content_hash(str()). The state over the whole words is computed on
+  /// first use and cached; 0 means "not yet computed" (a body whose state
+  /// really is 0 recomputes it each time). Relaxed atomics suffice: racing
+  /// first computations store the same value, and the bytes never change
+  /// while another holder can see them.
   std::uint64_t hash() const {
-    std::uint64_t h = hash_.load(std::memory_order_relaxed);
-    if (h == 0) {
-      h = fnv1a(str_);
-      hash_.store(h, std::memory_order_relaxed);
+    const std::size_t whole = str_.size() & ~std::size_t{7};
+    std::uint64_t state = words_.load(std::memory_order_relaxed);
+    if (state == 0) {
+      state = hash_words(kHashSeed, str_.data(), whole);
+      words_.store(state, std::memory_order_relaxed);
     }
-    return h;
+    return hash_finish(state, std::string_view(str_).substr(whole), str_.size());
   }
 
  private:
@@ -64,8 +69,11 @@ class Text {
   friend void append_text(TextPtr* body, std::string_view data);
 
   std::string str_;
-  mutable std::atomic<std::uint64_t> hash_{0};
+  mutable std::atomic<std::uint64_t> words_{0};  ///< hash state over the whole words
 };
+
+// The hash cache is one word beside the bytes.
+static_assert(sizeof(Text) == sizeof(std::string) + sizeof(std::uint64_t));
 
 inline TextPtr make_text(std::string s) { return std::make_shared<Text>(Text::Key{}, std::move(s)); }
 
@@ -78,14 +86,17 @@ inline void append_text(TextPtr* body, std::string_view data) {
     *body = make_text(std::move(grown));
     return;
   }
-  // Sole owner: nobody else can observe the bytes, so extend them. FNV-1a
-  // streams, so a known hash extends over the new bytes alone; it is taken
-  // before the append, which may move `data` when it views the body itself.
+  // Sole owner: nobody else can observe the bytes, so extend them. A known
+  // state extends over the whole words the append completes, read from the
+  // grown body (`data` may view the body itself, and the append may move it).
   Text& text = const_cast<Text&>(**body);
-  const std::uint64_t h = text.hash_.load(std::memory_order_relaxed);
-  const std::uint64_t extended = h == 0 ? 0 : fnv1a_append(h, data);
+  const std::uint64_t state = text.words_.load(std::memory_order_relaxed);
+  const std::size_t done = text.str_.size() & ~std::size_t{7};
   text.str_.append(data);
-  text.hash_.store(extended, std::memory_order_relaxed);
+  if (state == 0) return;
+  const std::size_t whole = text.str_.size() & ~std::size_t{7};
+  text.words_.store(hash_words(state, text.str_.data() + done, whole - done),
+                    std::memory_order_relaxed);
 }
 
 }  // namespace edgstr::util

@@ -76,8 +76,8 @@ class Vfs {
 
   std::vector<std::string> list() const;
   std::uint64_t version(const std::string& path) const;
-  /// FNV-1a content fingerprint (the body's cached hash); 0 for a missing
-  /// file.
+  /// Content fingerprint: the body's util::Text::hash(), comparable only
+  /// within one process; 0 for a missing file.
   std::uint64_t fingerprint(const std::string& path) const;
 
   /// Total bytes stored (sum of file sizes).

@@ -2,6 +2,8 @@
 
 #include <cmath>
 #include <memory>
+#include <set>
+#include <vector>
 
 #include "apps/app.h"
 #include "minijs/interpreter.h"
@@ -860,7 +862,55 @@ TEST_P(MiniJsStringSharing, ReadValueKeepsItsContentsAcrossAppendAndWrite) {
   EXPECT_EQ(interp->globals()->get("before").as_string(), "a;");
   EXPECT_EQ(interp->globals()->get("middle").as_string(), "a;b;");
   EXPECT_EQ(fs_.read("log.txt"), "fresh");
-  EXPECT_EQ(fs_.fingerprint("log.txt"), util::fnv1a("fresh"));
+  EXPECT_EQ(fs_.fingerprint("log.txt"), util::content_hash("fresh"));
+}
+
+// JsValue::digest: equal for equal values however they were built, and
+// apart wherever the JSON view of two values differs.
+TEST_P(MiniJsStringSharing, DigestIsEqualForEqualValuesBuiltApart) {
+  constexpr const char* kBuild =
+      "var lit = {name: \"sensor-7\", tags: [1, \"two\", {on: true}], blob: null};"
+      "var built = {};"
+      "built.name = \"sensor-\" + (3 + 4);"
+      "built.tags = [];"
+      "built.tags.push(1); built.tags.push(\"t\" + \"wo\"); built.tags.push({on: !false});"
+      "built.blob = null;"
+      "var long1 = pad(\"ab\", 4099); var long2 = pad(\"a\" + \"b\", 4099);";
+  auto interp = start(kBuild);
+  const JsValue lit = interp->globals()->get("lit");
+  const JsValue built = interp->globals()->get("built");
+  EXPECT_NE(lit.as_object(), built.as_object());
+  EXPECT_EQ(lit.digest(), built.digest());
+  EXPECT_EQ(lit.digest(), JsValue::from_json(lit.to_json()).digest());
+  const JsValue long1 = interp->globals()->get("long1");
+  const JsValue long2 = interp->globals()->get("long2");
+  EXPECT_NE(long1.as_text(), long2.as_text());
+  EXPECT_EQ(long1.digest(), long2.digest());
+
+  // The other engine builds the same values with the same digests.
+  InterpreterConfig other;
+  other.vm = !GetParam();
+  Interpreter peer(parse_program(kBuild), other);
+  peer.bind_vfs(&fs_);
+  peer.run_toplevel();
+  EXPECT_EQ(peer.globals()->get("built").digest(), lit.digest());
+  EXPECT_EQ(peer.globals()->get("long2").digest(), long1.digest());
+}
+
+TEST(MiniJsValue, DigestKeepsTypesNestingAndKeyValueBoundariesApart) {
+  const auto digest_of = [](const char* json_text) {
+    return JsValue::from_json(json::parse(json_text)).digest();
+  };
+  const std::vector<const char*> distinct = {
+      "1",          "\"1\"",          "true",        "null",          "0",
+      "\"\"",       "[]",             "{}",          "[[]]",          "[null]",
+      "[1,[2]]",    "[[1],2]",        "[[1,2]]",     "[1,2]",         "[2,1]",
+      "{\"ab\":\"c\"}", "{\"a\":\"bc\"}", "{\"a\":[\"bc\"]}", "{\"a\":{\"b\":\"c\"}}",
+      "[\"ab\",\"c\"]", "[\"a\",\"bc\"]", "[\"abc\"]",   "\"abc\"",     "{\"abc\":null}"};
+  std::set<std::uint64_t> seen;
+  for (const char* text : distinct) EXPECT_TRUE(seen.insert(digest_of(text)).second) << text;
+  // Numbers hash by their bits.
+  EXPECT_NE(JsValue(1.0).digest(), JsValue(std::nextafter(1.0, 2.0)).digest());
 }
 
 INSTANTIATE_TEST_SUITE_P(Engines, MiniJsStringSharing, ::testing::Values(false, true),

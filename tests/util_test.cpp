@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <mutex>
 #include <set>
@@ -7,6 +8,7 @@
 #include <utility>
 #include <vector>
 
+#include "util/hash.h"
 #include "util/logging.h"
 #include "util/metrics.h"
 #include "util/rng.h"
@@ -19,17 +21,17 @@ namespace {
 
 // ----------------------------------------------------------------- Text --
 
-TEST(TextTest, HashIsFnv1aAndSurvivesInPlaceAppend) {
+TEST(TextTest, HashIsContentHashAndSurvivesInPlaceAppend) {
   TextPtr body = make_text("model-");
-  EXPECT_EQ(body->hash(), fnv1a("model-"));
+  EXPECT_EQ(body->hash(), content_hash("model-"));
   const Text* sole = body.get();
   append_text(&body, "weights");  // sole owner: grows in place, hash extended
   EXPECT_EQ(body.get(), sole);
   EXPECT_EQ(body->str(), "model-weights");
-  EXPECT_EQ(body->hash(), fnv1a("model-weights"));
+  EXPECT_EQ(body->hash(), content_hash("model-weights"));
   append_text(&body, body->str());  // appending a body to itself
   EXPECT_EQ(body->str(), "model-weightsmodel-weights");
-  EXPECT_EQ(body->hash(), fnv1a(body->str()));
+  EXPECT_EQ(body->hash(), content_hash(body->str()));
 }
 
 TEST(TextTest, AppendToASharedBodyCopies) {
@@ -45,16 +47,116 @@ TEST(TextTest, AppendToASharedBodyCopies) {
 }
 
 // Several threads may hash one shared body first at the same time; under
-// the thread sanitizer this must stay clean, and all must agree.
+// the thread sanitizer this must stay clean, and all must agree. The length
+// leaves a tail, so each finishes from the cached state plus tail bytes.
 TEST(TextTest, ConcurrentFirstHashesAgree) {
-  const TextPtr body = make_text(std::string(1 << 16, 'z'));
+  const TextPtr body = make_text(std::string((1 << 16) + 5, 'z'));
   std::vector<std::uint64_t> seen(4, 0);
   std::vector<std::thread> threads;
   for (std::size_t t = 0; t < seen.size(); ++t) {
     threads.emplace_back([&body, &seen, t] { seen[t] = body->hash(); });
   }
   for (std::thread& t : threads) t.join();
-  for (const std::uint64_t h : seen) EXPECT_EQ(h, fnv1a(body->str()));
+  for (const std::uint64_t h : seen) EXPECT_EQ(h, content_hash(body->str()));
+}
+
+std::string random_bytes(Rng& rng, std::size_t length) {
+  std::string s(length, '\0');
+  for (char& c : s) c = static_cast<char>(rng.next_u64());
+  return s;
+}
+
+// Appends `whole` to an empty sole-owned body in chunks of 1-9 bytes (fixed
+// `chunk`, or random when 0), hashing after every step when `hash_each`, so
+// the cached state is extended rather than computed at the end.
+std::uint64_t hash_by_appends(const std::string& whole, std::size_t chunk, bool hash_each,
+                              Rng& rng) {
+  TextPtr body = make_text("");
+  if (hash_each) body->hash();
+  for (std::size_t at = 0; at < whole.size();) {
+    const std::size_t n = std::min(whole.size() - at, chunk != 0 ? chunk : 1 + rng.next_u64() % 9);
+    const Text* sole = body.get();
+    append_text(&body, std::string_view(whole).substr(at, n));
+    EXPECT_EQ(body.get(), sole);
+    at += n;
+    if (hash_each && whole.size() <= 64) {
+      EXPECT_EQ(body->hash(), content_hash(whole.substr(0, at)));
+    }
+  }
+  return body->hash();
+}
+
+TEST(ContentHashTest, InPlaceAppendsStreamToTheWholeBodysHash) {
+  Rng rng(27);
+  for (std::size_t length = 0; length <= 40; ++length) {
+    const std::string whole = random_bytes(rng, length);
+    const std::uint64_t expected = content_hash(whole);
+    for (std::size_t chunk = 0; chunk <= 9; ++chunk) {
+      for (const bool hash_each : {false, true}) {
+        EXPECT_EQ(hash_by_appends(whole, chunk, hash_each, rng), expected)
+            << "length " << length << " chunk " << chunk;
+      }
+    }
+    TextPtr doubled = make_text(whole);
+    doubled->hash();
+    append_text(&doubled, doubled->str());  // self-append continues the cache
+    EXPECT_EQ(doubled->hash(), content_hash(whole + whole)) << "length " << length;
+  }
+  const std::string big = random_bytes(rng, std::size_t{1} << 20);
+  EXPECT_EQ(hash_by_appends(big, 0, true, rng), content_hash(big));
+}
+
+TEST(ContentHashTest, ZeroFilledStringsOfEachLengthDiffer) {
+  std::set<std::uint64_t> seen;
+  for (std::size_t length = 0; length <= 64; ++length) {
+    const std::uint64_t h = content_hash(std::string(length, '\0'));
+    EXPECT_NE(h, 0u);
+    EXPECT_TRUE(seen.insert(h).second) << "length " << length;
+  }
+}
+
+TEST(ContentHashTest, EverySingleBitFlipChangesTheHash) {
+  Rng rng(5);
+  const std::string base = random_bytes(rng, 64);
+  std::set<std::uint64_t> seen{content_hash(base)};
+  for (std::size_t bit = 0; bit < base.size() * 8; ++bit) {
+    std::string flipped = base;
+    flipped[bit / 8] = static_cast<char>(flipped[bit / 8] ^ (1 << (bit % 8)));
+    EXPECT_TRUE(seen.insert(content_hash(flipped)).second) << "bit " << bit;
+  }
+}
+
+// 1M seeded strings of length 0-32: equal hashes only for equal strings.
+TEST(ContentHashTest, NoCollisionsAmongAMillionShortStrings) {
+  constexpr std::uint64_t kCount = 1'000'000;
+  const auto nth = [](std::uint64_t i) {
+    Rng rng(i);
+    return random_bytes(rng, rng.next_u64() % 33);
+  };
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> hashes;
+  hashes.reserve(kCount);
+  for (std::uint64_t i = 0; i < kCount; ++i) hashes.emplace_back(content_hash(nth(i)), i);
+  std::sort(hashes.begin(), hashes.end());
+  std::size_t collisions = 0;
+  for (std::size_t i = 1; i < hashes.size(); ++i) {
+    const bool same_hash = hashes[i].first == hashes[i - 1].first;
+    if (same_hash && nth(hashes[i].second) != nth(hashes[i - 1].second)) ++collisions;
+  }
+  EXPECT_EQ(collisions, 0u);
+}
+
+// Loads are unaligned-safe: a view at any offset hashes like a copy of it.
+TEST(ContentHashTest, ViewsAtAnyOffsetHashLikeTheirCopies) {
+  Rng rng(11);
+  const std::string buffer = random_bytes(rng, 128);
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    for (std::size_t length = 0; length + offset <= buffer.size(); length += 3) {
+      const std::string_view view = std::string_view(buffer).substr(offset, length);
+      const std::string copy(view);
+      EXPECT_EQ(content_hash(view), content_hash(copy)) << offset << "+" << length;
+      EXPECT_EQ(content_hash(view), make_text(copy)->hash()) << offset << "+" << length;
+    }
+  }
 }
 
 // ------------------------------------------------------------------ Rng --

@@ -228,6 +228,30 @@ TEST(VariantHarnessTest, ShadowReplayWritesAreUndoneBeforeTheNextCheck) {
   EXPECT_EQ(synced, 5u);
 }
 
+// A fault that changes only a global the request writes, not its response,
+// shows in the RW-log digests alone.
+TEST(VariantHarnessTest, FaultInAWrittenGlobalIsCaughtByTheRwlogDigests) {
+  ServiceRuntime primary(kUnitsService);
+  std::vector<VariantSpec> specs(2);
+  specs[0].name = "fast";
+  specs[0].config.resolve = true;
+  specs[1].name = "vm";
+  specs[1].config.vm = true;
+  specs[1].test_fault = [](ServiceRuntime& rt) {
+    rt.interpreter().globals()->set("tally", minijs::JsValue(41.0));
+  };
+  auto harness = std::make_unique<VariantHarness>(kUnitsService, std::move(specs));
+  primary.set_variant_harness(harness.get());
+
+  EXPECT_EQ(primary.handle(ingest("s0", 21.0)).response.body, json::Value::object({{"ok", 1}}));
+  ASSERT_FALSE(harness->divergences().empty()) << "fault not detected";
+  for (const Divergence& d : harness->divergences()) {
+    EXPECT_EQ(d.kind, "rwlog") << d.detail;  // the response agreed
+    EXPECT_EQ(d.variant, "vm");
+    EXPECT_NE(d.detail.find("tally"), std::string::npos) << d.detail;
+  }
+}
+
 // ------------------------------------------------------------ deployment --
 
 const core::TransformResult& transformed_sensor_hub() {

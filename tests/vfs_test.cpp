@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "util/hash.h"
 #include "vfs/vfs.h"
 
 namespace edgstr::vfs {
@@ -243,11 +244,11 @@ TEST(VfsTest, FingerprintMatchesContentsAfterMixedWrites) {
     if (held.size() > 4) held.erase(held.begin());
     for (const std::string& p : paths) {
       if (!fs.exists(p)) continue;
-      ASSERT_EQ(fs.fingerprint(p), util::fnv1a(fs.read(p))) << "step " << step << " " << p;
+      ASSERT_EQ(fs.fingerprint(p), util::content_hash(fs.read(p))) << "step " << step << " " << p;
     }
     for (const auto& [body, contents] : held) ASSERT_EQ(body->str(), contents) << "step " << step;
   }
-  for (const auto& [body, contents] : held) EXPECT_EQ(body->hash(), util::fnv1a(contents));
+  for (const auto& [body, contents] : held) EXPECT_EQ(body->hash(), util::content_hash(contents));
 }
 
 }  // namespace
